@@ -26,6 +26,16 @@ class IntMatrix:
         self._r = tuple(tuple(entries[i * cols:(i + 1) * cols]) for i in range(rows))
 
     @classmethod
+    def _of_rows(cls, rows, cols, r):
+        """Trusted constructor: `r` is a tuple of `rows` tuples of `cols`
+        Python ints, built inside this module."""
+        self = object.__new__(cls)
+        self.rows = rows
+        self.cols = cols
+        self._r = r
+        return self
+
+    @classmethod
     def from_rows(cls, rows_of_entries):
         rows = list(rows_of_entries)
         ncols = len(rows[0]) if rows else 0
@@ -37,11 +47,12 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls._of_rows(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
+        return cls._of_rows(n, n, tuple(tuple(int(i == j) for j in range(n))
+                                        for i in range(n)))
 
     @classmethod
     def diagonal(cls, diag, rows=None, cols=None):
@@ -53,10 +64,6 @@ class IntMatrix:
             if i < rows and i < cols:
                 m[i][i] = d
         return cls.from_rows(m)
-
-    @classmethod
-    def column(cls, entries):
-        return cls(len(list(entries)), 1, list(entries))
 
     def entry(self, i, j):
         return self._r[i][j]
@@ -71,28 +78,29 @@ class IntMatrix:
         return [list(r) for r in self._r]
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [self._r[i][j] for j in range(self.cols)
-                          for i in range(self.rows)])
+        return IntMatrix._of_rows(self.cols, self.rows, tuple(zip(*self._r))
+                                  if self.rows else ((),) * self.cols)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch")
-        return IntMatrix.from_rows([list(a) + list(b) for a, b in zip(self._r, other._r)]) \
-            if self.rows else IntMatrix.zeros(0, self.cols + other.cols)
+        return IntMatrix._of_rows(self.rows, self.cols + other.cols,
+                                  tuple(a + b for a, b in zip(self._r, other._r)))
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("col mismatch")
-        return IntMatrix(self.rows + other.rows, self.cols,
-                         [x for r in self._r for x in r] + [x for r in other._r for x in r])
+        return IntMatrix._of_rows(self.rows + other.rows, self.cols,
+                                  self._r + other._r)
 
     def submatrix(self, row_idx, col_idx):
-        return IntMatrix.from_rows([[self._r[i][j] for j in col_idx] for i in row_idx]) \
-            if row_idx else IntMatrix.zeros(0, len(col_idx))
+        col_idx = list(col_idx)
+        return IntMatrix._of_rows(len(row_idx), len(col_idx),
+                                  tuple(tuple(self._r[i][j] for j in col_idx)
+                                        for i in row_idx))
 
     def select_columns(self, col_idx):
-        return self.submatrix(range(self.rows), list(col_idx))
+        return self.submatrix(range(self.rows), col_idx)
 
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
@@ -113,22 +121,8 @@ class IntMatrix:
                     acc = [a - b for a, b in zip(acc, br)]
                 else:
                     acc = [a + x * b for a, b in zip(acc, br)]
-            out.extend(acc)
-        return IntMatrix(self.rows, p, out)
-
-    def apply(self, vec):
-        """Matrix-vector product as a plain list."""
-        vec = list(vec)
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for r in self._r:
-            s = 0
-            for x, v in zip(r, vec):
-                if x:
-                    s += x * v
-            out.append(s)
-        return out
+            out.append(tuple(acc))
+        return IntMatrix._of_rows(self.rows, p, tuple(out))
 
     def scale(self, c):
         return IntMatrix(self.rows, self.cols, [c * x for r in self._r for x in r])
@@ -136,8 +130,9 @@ class IntMatrix:
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols,
-                         [a + b for ra, rb in zip(self._r, other._r) for a, b in zip(ra, rb)])
+        return IntMatrix._of_rows(self.rows, self.cols,
+                                  tuple(tuple(a + b for a, b in zip(ra, rb))
+                                        for ra, rb in zip(self._r, other._r)))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -177,27 +172,35 @@ class SnfResult:
         return len(self.invariant_factors)
 
 
-def _row_op(a, u, ui, i, j, q):
-    """row_i -= q * row_j on a and u; inverse op tracked on columns of ui."""
-    ai, aj = a[i], a[j]
-    for k in range(len(ai)):
-        ai[k] -= q * aj[k]
-    uik, ujk = u[i], u[j]
-    for k in range(len(uik)):
-        uik[k] -= q * ujk[k]
-    for row in ui:
-        row[j] += q * row[i]
+def _axpy(dst, src, c):
+    """dst += c * src on sparse {index: value} vectors; c != 0."""
+    get = dst.get
+    for k, x in src.items():
+        y = get(k, 0) + c * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
 
 
-def _col_op(a, v, vi, i, j, q):
-    """col_i -= q * col_j on a and v; inverse tracked on rows of vi."""
-    for row in a:
-        row[i] -= q * row[j]
-    for row in v:
-        row[i] -= q * row[j]
-    vij, vii = vi[j], vi[i]
-    for k in range(len(vij)):
-        vij[k] += q * vii[k]
+def _dense_rows(vectors, width):
+    """Tuple rows of a matrix given its rows as sparse vectors."""
+    out = []
+    for vec in vectors:
+        row = [0] * width
+        for k, x in vec.items():
+            row[k] = x
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _dense_cols(vectors, height):
+    """Tuple rows of a matrix given its columns as sparse vectors."""
+    rows = [[0] * len(vectors) for _ in range(height)]
+    for j, vec in enumerate(vectors):
+        for k, x in vec.items():
+            rows[k][j] = x
+    return tuple(tuple(r) for r in rows)
 
 
 @functools.lru_cache(maxsize=128)
@@ -205,26 +208,27 @@ def snf(A: IntMatrix) -> SnfResult:
     """Smith normal form with deterministic pivoting.
 
     Pivot: smallest nonzero absolute value in the working submatrix, ties
-    broken by lexicographically smallest (row, col).  Results are memoized;
-    the same relation and cocycle matrices are decomposed many times over.
+    broken by lexicographically smallest (row, col).  The elimination is
+    sparse: rows of A, U and V^-1 and columns of V and U^-1 are held as
+    {index: value} dicts, so each step touches only nonzeros.  Rows at or
+    below step t have no entries left of column t, so the working
+    submatrix is just rows t.. of `a`.  Results are memoized; the same
+    relation and cocycle matrices are decomposed many times over.
     """
     m, n = A.rows, A.cols
-    a = A.to_rows()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    ui = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    vi = [[int(i == j) for j in range(n)] for i in range(n)]
+    a = [{j: x for j, x in enumerate(r) if x} for r in A._r]   # rows of A
+    u = [{i: 1} for i in range(m)]      # rows of U
+    ui = [{i: 1} for i in range(m)]     # columns of U^-1
+    v = [{j: 1} for j in range(n)]      # columns of V
+    vi = [{j: 1} for j in range(n)]     # rows of V^-1
     t = 0
     while t < m and t < n:
         best = None
         for i in range(t, m):
-            ai = a[i]
-            for j in range(t, n):
-                x = ai[j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-                    if best[0] == 1:
-                        break
+            for j, x in a[i].items():
+                key = (abs(x), i, j)
+                if best is None or key < best:
+                    best = key
             if best is not None and best[0] == 1:
                 break
         if best is None:
@@ -233,59 +237,67 @@ def snf(A: IntMatrix) -> SnfResult:
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
             u[t], u[pi] = u[pi], u[t]
-            for row in ui:
-                row[t], row[pi] = row[pi], row[t]
+            ui[t], ui[pi] = ui[pi], ui[t]
         if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
+            for i in range(t, m):
+                row = a[i]
+                x, y = row.pop(t, 0), row.pop(pj, 0)
+                if y:
+                    row[t] = y
+                if x:
+                    row[pj] = x
+            v[t], v[pj] = v[pj], v[t]
             vi[t], vi[pj] = vi[pj], vi[t]
-        if a[t][t] < 0:
-            for k in range(n):
-                a[t][k] = -a[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
-            for row in ui:
-                row[t] = -row[t]
-        d = a[t][t]
+        at = a[t]
+        if at[t] < 0:
+            for vec in (at, u[t], ui[t]):
+                for k in vec:
+                    vec[k] = -vec[k]
+        d = at[t]
         dirty = False
         for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // d
+            ai = a[i]
+            if t in ai:
+                q = ai[t] // d
                 if q:
-                    _row_op(a, u, ui, i, t, q)
-                if a[i][t]:
+                    _axpy(ai, at, -q)
+                    _axpy(u[i], u[t], -q)
+                    _axpy(ui[t], ui[i], q)
+                if t in ai:
                     dirty = True
-        for j in range(t + 1, n):
-            if a[t][j]:
-                q = a[t][j] // d
-                if q:
-                    _col_op(a, v, vi, j, t, q)
-                if a[t][j]:
-                    dirty = True
+        col_t = [(i, a[i][t]) for i in range(t, m) if t in a[i]]
+        for j in [j for j in at if j > t]:
+            q = at[j] // d
+            if q:
+                for i, x in col_t:
+                    ai = a[i]
+                    y = ai.get(j, 0) - q * x
+                    if y:
+                        ai[j] = y
+                    else:
+                        del ai[j]
+                _axpy(v[j], v[t], -q)
+                _axpy(vi[t], vi[j], q)
+            if j in at:
+                dirty = True
         if dirty:
             continue
-        # enforce divisibility of the remaining block by the pivot
-        offender = None
-        for i in range(t + 1, m):
-            ai = a[i]
-            for j in range(t + 1, n):
-                if ai[j] % d:
-                    offender = i
-                    break
+        if d != 1:
+            # enforce divisibility of the remaining block by the pivot
+            offender = next((i for i in range(t + 1, m)
+                             if any(x % d for x in a[i].values())), None)
             if offender is not None:
-                break
-        if offender is not None:
-            _row_op(a, u, ui, t, offender, -1)  # row_t += row_offender
-            continue
+                _axpy(at, a[offender], 1)        # row_t += row_offender
+                _axpy(u[t], u[offender], 1)
+                _axpy(ui[offender], ui[t], -1)
+                continue
         t += 1
-    diag = [a[i][i] for i in range(min(m, n))]
-    inv = [d for d in diag if d != 0]
-    flat = lambda rows, c: [x for r in rows for x in r] if rows else []
-    return SnfResult(IntMatrix(m, m, flat(u, m)), IntMatrix(m, n, flat(a, n)),
-                     IntMatrix(n, n, flat(v, n)), inv,
-                     IntMatrix(m, m, flat(ui, m)), IntMatrix(n, n, flat(vi, n)))
+    inv = [a[i][i] for i in range(t)]
+    return SnfResult(IntMatrix._of_rows(m, m, _dense_rows(u, m)),
+                     IntMatrix._of_rows(m, n, _dense_rows(a, n)),
+                     IntMatrix._of_rows(n, n, _dense_cols(v, n)), inv,
+                     IntMatrix._of_rows(m, m, _dense_cols(ui, m)),
+                     IntMatrix._of_rows(n, n, _dense_rows(vi, n)))
 
 
 def rank(A: IntMatrix) -> int:
@@ -310,57 +322,33 @@ def lattice_basis(A: IntMatrix) -> IntMatrix:
         else IntMatrix.zeros(A.rows, 0)
 
 
-def saturation_basis(A: IntMatrix) -> IntMatrix:
-    """Basis (columns) of the saturation of the column lattice of A."""
-    s = snf(A)
-    return s.Uinv.select_columns(range(s.rank))
-
-
 def solve(A: IntMatrix, b) -> list | None:
     """One integer solution x of A x = b, or None."""
-    s = snf(A)
-    y = s.U.apply(list(b))
-    x = [0] * A.cols
-    for i in range(A.rows):
-        d = s.D.entry(i, i) if i < A.cols else 0
-        if d == 0:
-            if i >= A.cols or y[i] != 0:
-                if y[i] != 0:
-                    return None
-        else:
-            if y[i] % d:
-                return None
-            x[i] = y[i] // d
-    for i in range(A.cols):
-        if i >= A.rows and x[i] != 0:
-            return None
-    return s.V.apply(x)
+    b = list(b)
+    x = solve_matrix(A, IntMatrix(len(b), 1, b))
+    return None if x is None else x.col(0)
 
 
 def solve_matrix(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
-    """X with A X = B, columnwise; None if any column is unsolvable."""
-    cols = []
+    """X with A X = B; None if any column of B is unsolvable.
+
+    With U A V = D: Y = U B, Z = D^-1 Y row by row (exactly, or not at
+    all), X = V Z.
+    """
     s = snf(A)
-    for j in range(B.cols):
-        y = s.U.apply(B.col(j))
-        x = [0] * A.cols
-        ok = True
-        for i in range(A.rows):
-            d = s.D.entry(i, i) if i < A.cols else 0
-            if d == 0:
-                if y[i] != 0:
-                    ok = False
-                    break
-            else:
-                if y[i] % d:
-                    ok = False
-                    break
-                x[i] = y[i] // d
-        if not ok:
-            return None
-        cols.append(s.V.apply(x))
-    return IntMatrix(A.cols, len(cols),
-                     [c[i] for i in range(A.cols) for c in cols])
+    y = (s.U * B)._r
+    r = s.rank
+    if any(any(row) for row in y[r:]):
+        return None
+    z = []
+    for row, d in zip(y, s.invariant_factors):
+        if d != 1:
+            if any(x % d for x in row):
+                return None
+            row = tuple(x // d for x in row)
+        z.append(row)
+    z.extend([(0,) * B.cols] * (A.cols - r))
+    return s.V * IntMatrix._of_rows(A.cols, B.cols, tuple(z))
 
 
 def lattice_contains(A: IntMatrix, vec) -> bool:
@@ -383,6 +371,38 @@ def preimage_lattice(M: IntMatrix, L: IntMatrix) -> IntMatrix:
         return kernel_basis(M)
     k = kernel_basis(M.hstack(L))
     return k.submatrix(range(M.cols), range(k.cols))
+
+
+def is_primitive_matrix(A: IntMatrix) -> bool:
+    """Does some power of the nonnegative square matrix A have only positive
+    entries?
+
+    Boolean reachability on the support of A: reach[i] is the bit set of
+    j with a path of exactly k steps from i to j.  By Wielandt's bound,
+    if any power is positive then the power (n-1)^2 + 1 is; the walk also
+    stops once the reachability pattern repeats.
+    """
+    n = A.rows
+    full = (1 << n) - 1
+    succ = [sum(1 << j for j, x in enumerate(r) if x > 0) for r in A._r]
+    reach, seen = succ, set()
+    for _ in range((n - 1) ** 2):
+        if all(r == full for r in reach):
+            return True
+        key = tuple(reach)
+        if key in seen:
+            return False
+        seen.add(key)
+        nxt = []
+        for r in reach:
+            acc = 0
+            while r:
+                low = r & -r
+                acc |= succ[low.bit_length() - 1]
+                r ^= low
+            nxt.append(acc)
+        reach = nxt
+    return all(r == full for r in reach)
 
 
 class FgAbGroup:
@@ -435,19 +455,6 @@ class FgAbGroup:
     def element_is_zero(self, x):
         return lattice_contains(self.rel, list(x))
 
-    def reduce_element(self, x):
-        """Canonical representative tuple of the class of x."""
-        y = self.U.apply(list(x))
-        out = []
-        for yi, d in zip(y, self.invariants):
-            if d == 1:
-                out.append(0)
-            elif d > 1:
-                out.append(yi % d)
-            else:
-                out.append(yi)
-        return tuple(out)
-
     def __repr__(self):
         return f"FgAbGroup(free_rank={self.free_rank}, torsion={list(self.torsion)})"
 
@@ -476,10 +483,6 @@ class GroupHom:
         return cls(domain, codomain, IntMatrix.zeros(codomain.ngens, domain.ngens),
                    check=False)
 
-    @classmethod
-    def identity(cls, group):
-        return cls(group, group, IntMatrix.identity(group.ngens), check=False)
-
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
         if other.codomain is not self.domain and \
@@ -487,10 +490,6 @@ class GroupHom:
             raise ValueError("composition domain mismatch")
         return GroupHom(other.domain, self.codomain, self.matrix * other.matrix,
                         check=False)
-
-    def equals(self, other: "GroupHom") -> bool:
-        diff = self.matrix - other.matrix
-        return solve_matrix(self.codomain.rel, diff) is not None
 
     def is_zero(self) -> bool:
         return solve_matrix(self.codomain.rel, self.matrix) is not None

@@ -14,7 +14,7 @@ from importlib import resources
 from . import subst1d, subst2d
 from .complexes import cohomology_tower, lemma1_shortcut, les_quotient
 from .errors import InvalidPath
-from .limits import GroupExpr, classify
+from .limits import GroupExpr, classify, radical
 
 DEFAULT_GRID = ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2))
 PATH_WORDS = ("A", "B", "C", "AA", "AB", "AAB", "BC", "AC", "AAC", "BAC",
@@ -115,12 +115,33 @@ def golden_lookup(kind: str, key: str):
 
 # ---- expected values from the closed formulas (arbitrary parameters) ----
 
+def _tm_h1_splits(k: int, l: int) -> bool:
+    """Is H^1(tm:k,l) the direct sum Z[1/(k+l)] + Z[1/|k-l|] + Z?
+
+    The two localized eigenlines span an index-2 sublattice.  When k+l is
+    odd, |k-l| > 1 and neither prime set of k+l and |k-l| contains the
+    other, 2 is inverted in neither line and (u1+u2)/2 is divisible by
+    neither base, so the limit is not a direct sum of localizations.
+    Nested or equal prime sets keep the closed form.
+    """
+    a, b = k + l, abs(k - l)
+    if a % 2 == 0 or b <= 1:
+        return True
+    ra, rb = radical(a), radical(b)
+    return ra % rb == 0 or rb % ra == 0
+
+
 def expected_1d_space(sid: SpaceId):
+    """Closed-form [H^0, H^1]; H^1 is an unclassified expression where the
+    limit does not split (see _tm_h1_splits)."""
     if sid.family == "sol":
         return [GroupExpr.parse("Z"), GroupExpr((), [(sid.params[0], 1)], 0)]
     k, l = sid.params
     if sid.family == "pd":
         return [GroupExpr.parse("Z"), GroupExpr((), [(k + l, 1)], 1)]
+    if not _tm_h1_splits(k, l):
+        return [GroupExpr.parse("Z"), GroupExpr(
+            unclassified=f"Z[1/{k + l}] + Z[1/{abs(k - l)}] + Z does not split")]
     return [GroupExpr.parse("Z"),
             GroupExpr((), [(k + l, 1), (abs(k - l), 1)], 1)]
 
@@ -221,9 +242,10 @@ def catalog_factor_maps(grid=DEFAULT_GRID):
 # ---- verification ----
 
 def _check(kind, key, degree, expected, computed):
+    ok = expected == computed or (expected.unclassified is not None
+                                  and computed.unclassified is not None)
     return {"kind": kind, "key": key, "degree": degree,
-            "expected": str(expected), "computed": str(computed),
-            "ok": expected == computed}
+            "expected": str(expected), "computed": str(computed), "ok": ok}
 
 
 def verify_all(scope: str = "all", grid=None):

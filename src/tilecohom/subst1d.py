@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 
-from .abelian import FgAbGroup, GroupHom, IntMatrix, solve_matrix
+from .abelian import (FgAbGroup, GroupHom, IntMatrix, is_primitive_matrix,
+                      solve_matrix)
 from .complexes import (CellularMap, CochainComplex, _express, cohomology,
                         cohomology_tower, hom_on_cohomology, lemma1_shortcut,
                         les_quotient, pullback, quotient_complex)
@@ -41,14 +42,7 @@ class Substitution1D:
         return IntMatrix.from_rows(m)
 
     def is_primitive(self) -> bool:
-        n = len(self.alphabet)
-        m = self.matrix()
-        p = m
-        for _ in range(n * n + 1):
-            if all(p.entry(i, j) > 0 for i in range(n) for j in range(n)):
-                return True
-            p = p * m
-        return False
+        return is_primitive_matrix(self.matrix())
 
     def require_primitive(self):
         if not self.is_primitive():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .abelian import IntMatrix
+from .abelian import IntMatrix, is_primitive_matrix
 from .complexes import CellularMap, CochainComplex
 from .errors import (InvalidPath, NotBorderForcing, NotPrimitive,
                      NotWellDefined)
@@ -122,14 +122,7 @@ class Substitution2D:
         return IntMatrix.from_rows(m)
 
     def is_primitive(self) -> bool:
-        n = len(self.tiles)
-        m = self.matrix()
-        p = m
-        for _ in range(n + 2):
-            if all(p.entry(i, j) > 0 for i in range(n) for j in range(n)):
-                return True
-            p = p * m
-        return False
+        return is_primitive_matrix(self.matrix())
 
     def require_primitive(self):
         if not self.is_primitive():

@@ -3,7 +3,8 @@ import pytest
 
 from tilecohom.catalog import (PATH_STARTS, PATH_WORDS, SpaceId,
                                catalog_factor_maps, compute_quotient,
-                               compute_space, golden_lookup, golden_table,
+                               compute_space, expected_1d_space,
+                               golden_lookup, golden_table,
                                lemma1_agreement, verify_all)
 from tilecohom.errors import InvalidPath
 
@@ -72,6 +73,23 @@ class TestDrivers:
     def test_verify_custom_grid(self):
         report = verify_all("1d", grid=((4, 2),))
         assert report and all(r["ok"] for r in report)
+
+    def test_verify_nonsplit_tm_pair(self):
+        # 25+14 = 39 and 25-14 = 11 are odd with incomparable prime sets:
+        # the H^1 limit does not split, so unclassified is the right answer
+        exp = expected_1d_space(SpaceId.parse("tm:25,14"))
+        assert exp[1].unclassified is not None
+        report = verify_all("1d", grid=((25, 14),))
+        assert report and all(r["ok"] for r in report)
+
+    def test_verify_nested_tm_pair_still_fails(self):
+        # 15 and 5 have nested prime sets: the closed form holds and the
+        # classifier's refusal is a real failure
+        assert str(expected_1d_space(SpaceId.parse("tm:5,10"))[1]) \
+            == "Z[1/5] + Z[1/15] + Z"
+        bad = [r for r in verify_all("1d", grid=((5, 10),)) if not r["ok"]]
+        assert [(r["key"], r["degree"], r["computed"]) for r in bad] \
+            == [("tm:5,10", 1, "unclassified")]
 
     def test_lemma1_agreement_1d(self):
         maps = [(key, f, sx, sy) for key, f, sx, sy

@@ -33,6 +33,14 @@ class TestSubstitutions:
         assert s.matrix().to_rows() == [[1, 1], [1, 1]]
         assert s.is_primitive()
 
+    def test_primitive_up_to_wielandt_bound(self):
+        # a -> b -> c -> d -> e -> a, e -> b: first positive power is 17
+        s = Substitution1D("abcde", {"a": "b", "b": "c", "c": "d", "d": "e",
+                                     "e": "ab"})
+        assert s.is_primitive()
+        assert not Substitution1D("abc", {"a": "b", "b": "c",
+                                          "c": "a"}).is_primitive()
+
     def test_not_primitive(self):
         s = Substitution1D(("a", "b"), {"a": ("a",), "b": ("b",)})
         with pytest.raises(NotPrimitive):

@@ -37,6 +37,19 @@ class TestMasterRule:
             for child in master_rule(t).values():
                 assert child in MASTER_TILES
 
+    def test_primitive_up_to_wielandt_bound(self):
+        # Wielandt's graph on 5 tiles: the cycle 0 -> 1 -> ... -> 4 -> 0 plus
+        # the chord 4 -> 1.  Its first positive power is (5-1)^2 + 1 = 17.
+        quads = ((0, 1), (1, 1), (0, 0), (1, 0))
+        rule = {i: {q: i + 1 for q in quads} for i in range(4)}
+        rule[4] = dict(zip(quads, (0, 0, 1, 1)))
+        assert Substitution2D(range(5), rule).is_primitive()
+
+    def test_periodic_rule_not_primitive(self):
+        quads = ((0, 1), (1, 1), (0, 0), (1, 0))
+        rule = {i: {q: (i + 1) % 3 for q in quads} for i in range(3)}
+        assert not Substitution2D(range(3), rule).is_primitive()
+
 
 class TestSchemes:
     def test_prototile_counts(self):
