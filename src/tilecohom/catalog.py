@@ -166,32 +166,11 @@ def compute_space(name: str, collar: str = "auto"):
     return subst1d.absolute_cohomology_1d(name)
 
 
-def _chair_steps(fine: str, coarse: str):
-    """Shortest realization of the factor map between two schemes."""
-    if fine == coarse:
-        return ()
-    edges = subst2d.lattice_edges()
-    frontier = [(fine, ())]
-    seen = {fine}
-    while frontier:
-        nxt = []
-        for at, steps in frontier:
-            for _, a, b in edges:
-                if a == at and b not in seen:
-                    path = steps + ((a, b),)
-                    if b == coarse:
-                        return path
-                    seen.add(b)
-                    nxt.append((b, path))
-        frontier = nxt
-    raise InvalidPath(f"no factor map from chair:{fine} to chair:{coarse}")
-
-
 def factor_map_for_pair(fine: str, coarse: str):
     """(cellular map, self-map of source, self-map of target) for a pair."""
     fid, cid = SpaceId.parse(fine), SpaceId.parse(coarse)
     if fid.family == "chair" and cid.family == "chair":
-        steps = _chair_steps(fid.scheme, cid.scheme)
+        steps = subst2d.lattice_steps(fid.scheme, cid.scheme)
         if not steps:
             raise InvalidPath("the two spaces coincide")
         f = subst2d.compose_realization(steps, "forced")
@@ -215,10 +194,10 @@ def compute_quotient(fine: str, coarse: str, collar: str = "auto"):
 def compute_path(path: FactorPath, collar: str = "forced"):
     """Classified quotient cohomology of a composed lattice path."""
     f = subst2d.compose_path(path.start, path.word, collar)
-    # self-maps of the endpoints of the canonical realization
-    reals = subst2d.path_realizations(path.start, path.word)
+    # self-maps of the endpoints of the realization compose_path composed
+    end = subst2d.canonical_realization(path.start, path.word)[-1][1]
     _, sx = subst2d.ap_complex_2d(path.start, collar)
-    _, sy = subst2d.ap_complex_2d(reals[0][-1][1], collar)
+    _, sy = subst2d.ap_complex_2d(end, collar)
     return les_quotient(f, sx, sy)["Q"]
 
 

@@ -17,14 +17,21 @@ from . import catalog, subst1d, subst2d
 from .errors import InvalidPath, TilingCohomologyError
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected N >= 1, got {text}")
+    return n
+
+
 def _common_flags():
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--json", action="store_true",
                    help="emit a structured JSON document")
     p.add_argument("--collar", choices=["auto", "on", "off"], default="auto",
                    help="collaring policy for 2-D complexes")
-    p.add_argument("--timeout-sec", type=int, default=None, metavar="N",
-                   help="abort the computation after N seconds")
+    p.add_argument("--timeout-sec", type=_positive_int, default=None,
+                   metavar="N", help="abort the computation after N >= 1 seconds")
     return p
 
 

@@ -12,7 +12,8 @@ from .abelian import (FgAbGroup, GroupHom, IntMatrix, kernel_basis, rank,
                       solve_matrix)
 from .errors import (HypothesisFailed, NotACochainMap,
                      NotInjectiveOnCochains, NotWellDefined)
-from .limits import GroupExpr, TowerGroup, classify, eventual_restriction, limit_les
+from .limits import (TowerGroup, classify, eventual_restriction, limit_les,
+                     subquotient_tower)
 
 
 class CochainComplex:
@@ -191,16 +192,7 @@ def pullback(f: CellularMap, require_injective: bool = False):
 def cohomology_tower(c: CochainComplex, self_map: CellularMap, k: int) -> TowerGroup:
     """H^k(c) with the endomorphism induced by the self-map's pullback."""
     h = cohomology(c, k)
-    p = self_map.chain[k].transpose()
-    lifted = _express_in_cocycles(h, p * h.ambient_lift, c, k)
-    return TowerGroup(h, GroupHom(h, h, lifted))
-
-
-def _express_in_cocycles(h: FgAbGroup, cocycles: IntMatrix, c, k) -> IntMatrix:
-    x = _express(h, cocycles)
-    if x is None:
-        raise NotACochainMap(f"image does not consist of degree-{k} cocycles")
-    return x
+    return TowerGroup(h, hom_on_cohomology(self_map.chain[k].transpose(), h, h))
 
 
 def hom_on_cohomology(p: IntMatrix, ha: FgAbGroup, hb: FgAbGroup) -> GroupHom:
@@ -324,10 +316,7 @@ def les_quotient(f: CellularMap, self_x: CellularMap, self_y: CellularMap):
         ty = cohomology_tower(y, self_y, k) if k <= y.dimension else zero
         tx = cohomology_tower(x, self_x, k)
         hq = cohomology(qx, k)
-        sq_lift = _express(hq, sq[k] * hq.ambient_lift)
-        if sq_lift is None:
-            raise NotACochainMap("quotient self-map does not preserve cocycles")
-        tq = TowerGroup(hq, GroupHom(hq, hq, sq_lift))
+        tq = TowerGroup(hq, hom_on_cohomology(sq[k], hq, hq))
         if k == 0:
             maps.append(GroupHom.zero(zero.group, ty.group))
         else:
@@ -377,7 +366,7 @@ def lemma1_shortcut(f: CellularMap, self_x: CellularMap, self_y: CellularMap,
         h0q_zero = True
     else:
         h = hom_on_cohomology(pb[1], ty1.group, tx1.group)
-        ker_tower = _kernel_tower(ty1, h)
+        ker_tower = subquotient_tower(ty1, h.kernel_gens(), ty1.group.rel)
         h0q_zero = eventual_restriction(ker_tower).group.is_trivial()
     # top quotient group = coker of the pullback on H^n in the limit
     tyn = cohomology_tower(y, self_y, n) if n <= y.dimension else None
@@ -387,20 +376,7 @@ def lemma1_shortcut(f: CellularMap, self_x: CellularMap, self_y: CellularMap,
     else:
         h = hom_on_cohomology(pb[n], tyn.group, txn.group)
         gx = txn.group
-        coker = FgAbGroup(gx.ngens, gx.rel.hstack(h.matrix),
-                          ambient_lift=gx.ambient_lift)
-        endo = GroupHom(coker, coker, txn.endo.matrix)
-        top = classify(TowerGroup(coker, endo))
+        top = classify(subquotient_tower(
+            txn, IntMatrix.identity(gx.ngens), gx.rel.hstack(h.matrix)))
     return h0q_zero, top
 
-
-def _kernel_tower(t: TowerGroup, h: GroupHom) -> TowerGroup:
-    from .abelian import lattice_basis, preimage_lattice
-    ker = h.kernel_gens()
-    basis = lattice_basis(ker)
-    rel = preimage_lattice(basis, t.group.rel)
-    sub = FgAbGroup(basis.cols, rel)
-    lifted = solve_matrix(basis, t.endo.matrix * basis)
-    if lifted is None:
-        raise NotACochainMap("kernel not invariant under the self-map")
-    return TowerGroup(sub, GroupHom(sub, sub, lifted, check=False))

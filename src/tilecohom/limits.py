@@ -151,6 +151,21 @@ class TowerGroup:
         return f"TowerGroup({self.group!r})"
 
 
+def subquotient_tower(t: TowerGroup, sub: IntMatrix, rel: IntMatrix) -> TowerGroup:
+    """The group sub/rel under the self-map induced by t's endomorphism.
+
+    `sub` and `rel` generate (as columns, in t's presentation coordinates)
+    self-map-invariant lattices with rel <= sub and t.group.rel <= sub.
+    """
+    basis = lattice_basis(sub)
+    g = FgAbGroup(basis.cols, preimage_lattice(basis, rel))
+    lifted = solve_matrix(basis.hstack(rel), t.endo.matrix * basis)
+    if lifted is None:
+        raise NotACochainMap("sublattice is not invariant under the self-map")
+    endo_m = lifted.submatrix(range(basis.cols), range(lifted.cols))
+    return TowerGroup(g, GroupHom(g, g, endo_m))
+
+
 def eventual_restriction(t: TowerGroup) -> TowerGroup:
     """Cofinal sub-tower on which the endomorphism is injective.
 
@@ -164,18 +179,9 @@ def eventual_restriction(t: TowerGroup) -> TowerGroup:
     cap = g.ngens + torsion_bits + 4
     power = s
     for _ in range(cap + 1):
-        gens = power.hstack(g.rel)
-        basis = lattice_basis(gens)
-        rel = preimage_lattice(basis, g.rel)
-        sub = FgAbGroup(basis.cols, rel)
-        # endo maps the image subgroup into itself; rewrite it on the basis
-        lifted = solve_matrix(basis.hstack(g.rel), s * basis)
-        if lifted is None:
-            raise Unclassified("image subgroup is not invariant")  # unreachable
-        endo_m = lifted.submatrix(range(basis.cols), range(lifted.cols))
-        endo = GroupHom(sub, sub, endo_m)
-        if endo.is_injective():
-            return TowerGroup(sub, endo)
+        sub = subquotient_tower(t, power.hstack(g.rel), g.rel)
+        if sub.endo.is_injective():
+            return sub
         power = s * power
     raise Unclassified("eventual image did not stabilize")  # unreachable
 
@@ -349,27 +355,6 @@ def iso_check(a: GroupExpr, b: GroupExpr) -> bool:
     return a.key() == b.key()
 
 
-def _defect_tower(term: TowerGroup, incoming: GroupHom | None,
-                  outgoing: GroupHom | None) -> TowerGroup:
-    """ker(outgoing)/im(incoming) as a tower under the induced endo."""
-    g = term.group
-    if outgoing is not None:
-        ker = outgoing.kernel_gens()
-    else:
-        ker = IntMatrix.identity(g.ngens).hstack(g.rel)
-    basis = lattice_basis(ker)
-    if incoming is not None:
-        im = incoming.matrix.hstack(g.rel)
-    else:
-        im = g.rel
-    rel = preimage_lattice(basis, im)
-    defect = FgAbGroup(basis.cols, rel)
-    lifted = solve_matrix(basis, term.endo.matrix * basis)
-    if lifted is None:
-        raise ExactnessFailure("kernel is not invariant under the self-map")
-    return TowerGroup(defect, GroupHom(defect, defect, lifted, check=False))
-
-
 def limit_les(terms, maps, names=None):
     """Classify each tower and certify exactness of the sequence in the limit.
 
@@ -390,10 +375,13 @@ def limit_les(terms, maps, names=None):
             node = names[i] if names else i
             raise ExactnessFailure(f"composite through node {node} is nonzero",
                                    node=node)
-    for i in range(len(terms)):
-        incoming = maps[i - 1] if i > 0 else None
-        outgoing = maps[i] if i < len(maps) else None
-        defect = _defect_tower(terms[i], incoming, outgoing)
+    for i, t in enumerate(terms):
+        # the defect ker(outgoing)/im(incoming) must die in the limit
+        rel = t.group.rel
+        ker = (maps[i].kernel_gens() if i < len(maps)
+               else IntMatrix.identity(t.group.ngens).hstack(rel))
+        im = maps[i - 1].matrix.hstack(rel) if i > 0 else rel
+        defect = subquotient_tower(t, ker, im)
         if not eventual_restriction(defect).group.is_trivial():
             node = names[i] if names else i
             raise ExactnessFailure(f"sequence is not exact at node {node}",

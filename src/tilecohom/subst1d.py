@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import functools
 
-from .abelian import (FgAbGroup, GroupHom, IntMatrix, is_primitive_matrix,
-                      solve_matrix)
-from .complexes import (CellularMap, CochainComplex, _express, cohomology,
+from .abelian import FgAbGroup, GroupHom, IntMatrix, is_primitive_matrix
+from .complexes import (CellularMap, CochainComplex, cohomology,
                         cohomology_tower, hom_on_cohomology, lemma1_shortcut,
                         les_quotient, pullback, quotient_complex)
 from .errors import InvalidPath, NotACochainMap, NotPrimitive
@@ -272,10 +271,7 @@ def _quotient_tower(f, self_x, k):
     qc = quotient_complex(f)
     h = cohomology(qc.complex, k)
     sq = qc.proj[k] * self_x.chain[k].transpose() * qc.section[k]
-    lifted = _express(h, sq * h.ambient_lift)
-    if lifted is None:
-        raise NotACochainMap("quotient self-map does not preserve cocycles")
-    return qc, TowerGroup(h, GroupHom(h, h, lifted))
+    return qc, TowerGroup(h, hom_on_cohomology(sq, h, h))
 
 
 def verify_times2_ses(k: int, l: int):

@@ -483,6 +483,20 @@ def lattice_edges():
     return out
 
 
+def lattice_steps(fine: str, coarse: str):
+    """The factor map fine -> coarse as a chain of lattice_edges() steps,
+    as (fine, coarse) pairs: the arrow steps first, then the label steps."""
+    fa, fl = scheme_parts(fine)
+    ca, cl = scheme_parts(coarse)
+    ai, aj = ARROW_ORDER.index(fa), ARROW_ORDER.index(ca)
+    li, lj = LABEL_ORDER.index(fl), LABEL_ORDER.index(cl)
+    if aj < ai or lj < li:
+        raise InvalidPath(f"no factor map from chair:{fine} to chair:{coarse}")
+    chain = ([f"{a},{fl}" for a in ARROW_ORDER[ai:aj + 1]]
+             + [f"{ca},{l}" for l in LABEL_ORDER[li + 1:lj + 1]])
+    return tuple(zip(chain, chain[1:]))
+
+
 def edge_type(fine: str, coarse: str) -> str:
     fa, fl = scheme_parts(fine)
     ca, cl = scheme_parts(coarse)
@@ -597,22 +611,25 @@ def path_realizations(space: str, word: str):
     return outs
 
 
-def compose_path(space: str, word: str, collar: str = "forced"):
-    """Composite factor map for a path label, on the canonical realization.
+def canonical_realization(space: str, word: str):
+    """The realization of a path label that compose_path composes.
 
     Among the realizations of the label word, arrow-coarsening steps are
     preferred over label-coarsening steps at each position (the composed
     quotient cohomology is realization-independent; see path_realizations
     to enumerate the alternatives).
     """
-    reals = path_realizations(space, word)
-
     def step_key(step):
         fine, coarse = step
         return 0 if scheme_parts(fine)[0] != scheme_parts(coarse)[0] else 1
 
-    best = min(reals, key=lambda real: [step_key(s) for s in real])
-    return compose_realization(best, collar)
+    return min(path_realizations(space, word),
+               key=lambda real: [step_key(s) for s in real])
+
+
+def compose_path(space: str, word: str, collar: str = "forced"):
+    """Composite factor map for a path label, on its canonical_realization."""
+    return compose_realization(canonical_realization(space, word), collar)
 
 
 def compose_realization(steps, collar: str = "forced"):

@@ -1,10 +1,11 @@
 """Space catalog: names, golden tables, verification drivers."""
 import pytest
 
-from tilecohom.catalog import (PATH_STARTS, PATH_WORDS, SpaceId,
-                               catalog_factor_maps, compute_quotient,
-                               compute_space, expected_1d_space,
-                               golden_lookup, golden_table,
+from tilecohom import subst2d
+from tilecohom.catalog import (PATH_STARTS, PATH_WORDS, FactorPath, SpaceId,
+                               catalog_factor_maps, compute_path,
+                               compute_quotient, compute_space,
+                               expected_1d_space, golden_lookup, golden_table,
                                lemma1_agreement, verify_all)
 from tilecohom.errors import InvalidPath
 
@@ -90,6 +91,16 @@ class TestDrivers:
         bad = [r for r in verify_all("1d", grid=((5, 10),)) if not r["ok"]]
         assert [(r["key"], r["degree"], r["computed"]) for r in bad] \
             == [("tm:5,10", 1, "unclassified")]
+
+    def test_compute_path_endpoint_independent_of_edge_order(self,
+                                                              monkeypatch):
+        # X,- + A ends at /,- or at X,0; the target self-map must come
+        # from the realization that compose_path composes
+        path = FactorPath("X,-", "A")
+        want = compute_path(path)
+        edges = subst2d.lattice_edges()
+        monkeypatch.setattr(subst2d, "lattice_edges", lambda: edges[::-1])
+        assert compute_path(path) == want
 
     def test_lemma1_agreement_1d(self):
         maps = [(key, f, sx, sy) for key, f, sx, sy

@@ -95,3 +95,13 @@ class TestMisc:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("seconds", ["-3", "0"])
+    def test_timeout_not_positive_is_usage_error(self, capsys, seconds):
+        code, out, err = run(capsys, "space", "sol:2", "--timeout-sec", seconds)
+        assert code == 2 and not out and "N >= 1" in err
+
+    def test_timeout_positive_runs(self, capsys):
+        code, out, _ = run(capsys, "space", "sol:2", "--timeout-sec", "60")
+        assert code == 0
+        assert out.strip() == "H^0 = Z; H^1 = Z[1/2]"

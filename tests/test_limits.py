@@ -6,7 +6,7 @@ from tilecohom.abelian import FgAbGroup, GroupHom, IntMatrix, cokernel
 from tilecohom.errors import ExactnessFailure, NotACochainMap, Unclassified
 from tilecohom.limits import (GroupExpr, TowerGroup, classify,
                               eventual_restriction, iso_check, limit_les,
-                              radical, verify_split)
+                              radical, subquotient_tower, verify_split)
 
 
 def tower(ngens, rel_cols, matrix_rows):
@@ -128,6 +128,33 @@ class TestEventualRestriction:
     def test_trivializes(self):
         t = tower(1, [[4]], [[2]])
         assert eventual_restriction(t).group.is_trivial()
+
+
+class TestSubquotientTower:
+    def test_non_invariant_sublattice_rejected(self):
+        # the swap does not preserve the first coordinate axis
+        t = tower(2, [], [[0, 1], [1, 0]])
+        with pytest.raises(NotACochainMap):
+            subquotient_tower(t, IntMatrix.from_rows([[1], [0]]), t.group.rel)
+
+    def test_torsion_subquotient(self):
+        # Z^2 / <(2, 0)> under diag(3, 2), restricted to the first axis
+        t = tower(2, [[2, 0]], [[3, 0], [0, 2]])
+        sub = IntMatrix.from_rows([[1, 2], [0, 0]])
+        q = subquotient_tower(t, sub, t.group.rel)
+        assert q.group.signature() == (0, (2,))
+
+    @settings(max_examples=200)
+    @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
+           st.integers(0, 4))
+    def test_whole_group_is_the_tower(self, a, b, d, r):
+        t = tower(2, [[r, 0]] if r else [], [[a, b], [0, d]])
+        e1 = classify(t)
+        e2 = classify(subquotient_tower(t, IntMatrix.identity(2), t.group.rel))
+        if e1.unclassified is None:
+            assert e1 == e2
+        else:
+            assert e2.unclassified is not None
 
 
 class TestLimitLes:

@@ -5,11 +5,12 @@ from tilecohom.errors import (InvalidPath, NotBorderForcing, NotWellDefined)
 from tilecohom.catalog import FactorPath, compute_path
 from tilecohom.limits import GroupExpr, classify, iso_check
 from tilecohom.complexes import cohomology_tower, les_quotient
-from tilecohom.subst2d import (MASTER_TILES, SCHEME_NAMES, Substitution2D,
+from tilecohom.subst2d import (ARROW_ORDER, LABEL_ORDER, MASTER_TILES,
+                               SCHEME_NAMES, Substitution2D,
                                ap_complex_2d, border_forcing_check,
                                collar_depth, compose_path, decorate,
                                descend_rule, edge_type, enumerate_prototiles,
-                               factor_map_edge, lattice_edges,
+                               factor_map_edge, lattice_edges, lattice_steps,
                                legal_adjacencies, master_rule, master_system,
                                path_realizations)
 
@@ -145,6 +146,29 @@ class TestLattice:
             path_realizations("X,+", "AD")
         with pytest.raises(InvalidPath):
             path_realizations("0,0", "A")
+
+    def test_lattice_steps_all_pairs(self):
+        edges = {(fine, coarse) for _, fine, coarse in lattice_edges()}
+        below = {s: {s} for s in SCHEME_NAMES}
+        for _ in SCHEME_NAMES:
+            for fine, coarse in edges:
+                below[fine] |= below[coarse]
+        for fine in SCHEME_NAMES:
+            for coarse in SCHEME_NAMES:
+                if coarse not in below[fine]:
+                    with pytest.raises(InvalidPath):
+                        lattice_steps(fine, coarse)
+                    continue
+                steps = lattice_steps(fine, coarse)
+                assert all(step in edges for step in steps)
+                chain = [fine] + [c for _, c in steps]
+                assert [f for f, _ in steps] == chain[:-1]
+                assert chain[-1] == coarse
+                (fa, fl), (ca, cl) = (f.split(",") for f in (fine, coarse))
+                assert len(steps) == (ARROW_ORDER.index(ca)
+                                      - ARROW_ORDER.index(fa)
+                                      + LABEL_ORDER.index(cl)
+                                      - LABEL_ORDER.index(fl))
 
     def test_path_independence_ab(self):
         got = {tuple(str(e) for e in
