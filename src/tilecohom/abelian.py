@@ -8,6 +8,7 @@ integers, so there is no overflow at any size.
 from __future__ import annotations
 
 import functools
+from itertools import compress
 
 from .errors import NotWellDefined
 
@@ -103,24 +104,23 @@ class IntMatrix:
         return self.submatrix(range(self.rows), col_idx)
 
     def __mul__(self, other):
+        """Product that visits only the nonzeros of both factors; the
+        coboundaries and cellular maps multiplied here are mostly zero."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         p = other.cols
-        brows = other._r
+        pidx = range(p)
+        bnz = [[(j, br[j]) for j in compress(pidx, br)] for br in other._r]
+        kidx = range(self.cols)
         out = []
         for arow in self._r:
             acc = [0] * p
-            for x, br in zip(arow, brows):
-                if x == 0:
-                    continue
-                if x == 1:
-                    acc = [a + b for a, b in zip(acc, br)]
-                elif x == -1:
-                    acc = [a - b for a, b in zip(acc, br)]
-                else:
-                    acc = [a + x * b for a, b in zip(acc, br)]
+            for k in compress(kidx, arow):
+                x = arow[k]
+                for j, y in bnz[k]:
+                    acc[j] += x * y
             out.append(tuple(acc))
         return IntMatrix._of_rows(self.rows, p, tuple(out))
 
@@ -411,11 +411,14 @@ class FgAbGroup:
     Canonical coordinates are y = U x where U comes from the SNF of the
     relation matrix; coordinate i carries invariant d_i (d_i = 0 for a
     free coordinate).  `ambient_lift`, when present, sends presentation
-    generators to vectors of an ambient cochain space.
+    generators to vectors of an ambient cochain space.  `_coords` is set by
+    complexes.cohomology, which also reads it back: the data that expresses
+    an ambient cocycle in the generators.
     """
 
     __slots__ = ("ngens", "rel", "invariants", "U", "Uinv",
-                 "free_rank", "torsion", "ambient_lift", "ambient_cob")
+                 "free_rank", "torsion", "ambient_lift", "ambient_cob",
+                 "_coords")
 
     def __init__(self, ngens, rel=None, ambient_lift=None, ambient_cob=None):
         self.ngens = ngens
@@ -437,6 +440,7 @@ class FgAbGroup:
         # coboundary lattice, that lattice is kept so elements can be
         # expressed as lift-combination + coboundary
         self.ambient_cob = ambient_cob
+        self._coords = None
 
     @classmethod
     def trivial(cls):

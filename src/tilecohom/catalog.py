@@ -166,33 +166,46 @@ def compute_space(name: str, collar: str = "auto"):
     return subst1d.absolute_cohomology_1d(name)
 
 
-def factor_map_for_pair(fine: str, coarse: str):
-    """(cellular map, self-map of source, self-map of target) for a pair."""
+def _pair_collar(collar: str) -> str:
+    """Collar policy for a factor map between chair spaces.
+
+    One collar depth must serve every complex on the path, and of the nine
+    schemes only 0,0 forces its border, so `auto` keeps forced collars.
+    `off` computes on uncollared complexes, or raises NotBorderForcing as
+    it does for every pair of named schemes.
+    """
+    return "forced" if collar == "auto" else collar
+
+
+def compute_quotient(fine: str, coarse: str, collar: str = "auto"):
+    """Classified quotient cohomology [H^0_Q, ..., H^dim_Q] of a pair.
+
+    `collar` applies to chair pairs, as in compute_path: `auto` means
+    forced collars (see _pair_collar).
+    """
+    if fine == coarse:
+        dim = SpaceId.parse(fine).dimension
+        return [GroupExpr.zero() for _ in range(dim + 1)]
     fid, cid = SpaceId.parse(fine), SpaceId.parse(coarse)
     if fid.family == "chair" and cid.family == "chair":
         steps = subst2d.lattice_steps(fid.scheme, cid.scheme)
         if not steps:
             raise InvalidPath("the two spaces coincide")
-        f = subst2d.compose_realization(steps, "forced")
-        _, sx = subst2d.ap_complex_2d(fid.scheme, "forced")
-        _, sy = subst2d.ap_complex_2d(cid.scheme, "forced")
-        return f, sx, sy
-    if fid.family != "chair" and cid.family != "chair":
-        return subst1d.factor_map_1d(fine, coarse)
-    raise InvalidPath(f"no factor map from {fine!r} to {coarse!r}")
-
-
-def compute_quotient(fine: str, coarse: str, collar: str = "auto"):
-    """Classified quotient cohomology [H^0_Q, ..., H^dim_Q] of a pair."""
-    if fine == coarse:
-        dim = SpaceId.parse(fine).dimension
-        return [GroupExpr.zero() for _ in range(dim + 1)]
-    f, sx, sy = factor_map_for_pair(fine, coarse)
+        collar = _pair_collar(collar)
+        f = subst2d.compose_realization(steps, collar)
+        _, sx = subst2d.ap_complex_2d(fid.scheme, collar)
+        _, sy = subst2d.ap_complex_2d(cid.scheme, collar)
+    elif fid.family != "chair" and cid.family != "chair":
+        f, sx, sy = subst1d.factor_map_1d(fine, coarse)
+    else:
+        raise InvalidPath(f"no factor map from {fine!r} to {coarse!r}")
     return les_quotient(f, sx, sy)["Q"]
 
 
 def compute_path(path: FactorPath, collar: str = "forced"):
-    """Classified quotient cohomology of a composed lattice path."""
+    """Classified quotient cohomology of a composed lattice path (`auto`
+    means forced collars; see _pair_collar)."""
+    collar = _pair_collar(collar)
     f = subst2d.compose_path(path.start, path.word, collar)
     # self-maps of the endpoints of the realization compose_path composed
     end = subst2d.canonical_realization(path.start, path.word)[-1][1]

@@ -116,7 +116,8 @@ def _run_path(args):
     if sid.family != "chair":
         raise InvalidPath("path computations start at a chair:* space")
     t0 = time.monotonic()
-    exprs = catalog.compute_path(catalog.FactorPath(sid.scheme, args.word))
+    exprs = catalog.compute_path(catalog.FactorPath(sid.scheme, args.word),
+                                 _collar(args))
     ms = int((time.monotonic() - t0) * 1000)
     _emit(args,
           {"path": {"start": args.start, "word": args.word},
@@ -177,7 +178,13 @@ def main(argv=None) -> int:
     if args.timeout_sec:
         def _on_alarm(signum, frame):
             raise TimeoutError(f"computation exceeded {args.timeout_sec}s")
-        signal.signal(signal.SIGALRM, _on_alarm)
+        try:
+            signal.signal(signal.SIGALRM, _on_alarm)
+        except (AttributeError, ValueError):
+            # no SIGALRM on this platform, or not the main thread
+            print("error: --timeout-sec needs SIGALRM, which only the main "
+                  "thread of a POSIX process receives", file=sys.stderr)
+            return 2
         signal.alarm(args.timeout_sec)
     try:
         return _VERBS[args.verb](args)

@@ -8,8 +8,8 @@ computation available when the top cohomology of the target vanishes.
 """
 from __future__ import annotations
 
-from .abelian import (FgAbGroup, GroupHom, IntMatrix, kernel_basis, rank,
-                      solve_matrix)
+from .abelian import (FgAbGroup, GroupHom, IntMatrix, _axpy, kernel_basis,
+                      rank, solve_matrix)
 from .errors import (HypothesisFailed, NotACochainMap,
                      NotInjectiveOnCochains, NotWellDefined)
 from .limits import (TowerGroup, classify, eventual_restriction, limit_les,
@@ -19,7 +19,8 @@ from .limits import (TowerGroup, classify, eventual_restriction, limit_les,
 class CochainComplex:
     """Free cochain complex on named cells, degrees 0..dimension (<= 2)."""
 
-    __slots__ = ("cells", "delta", "dimension", "_index", "_hcache")
+    __slots__ = ("cells", "delta", "dimension", "_index", "_hcache",
+                 "_reduced")
 
     def __init__(self, cells, delta):
         self.cells = [list(c) for c in cells]
@@ -37,6 +38,7 @@ class CochainComplex:
                 raise ValueError(f"delta o delta != 0 at degree {k}")
         self._index = [{c: i for i, c in enumerate(cs)} for cs in self.cells]
         self._hcache = {}
+        self._reduced = None
 
     def n_cells(self, k):
         return len(self.cells[k]) if 0 <= k <= self.dimension else 0
@@ -67,12 +69,109 @@ class CochainComplex:
         return f"CochainComplex(cells={sizes})"
 
 
+def _reduce(c: CochainComplex):
+    """(reduced complex, iota, pi) of c by unit-pivot elimination, cached.
+
+    Each step removes a pair a in C^k, b in C^(k+1) with delta_k[b, a] = s
+    = +-1.  With u = delta_k[b, !=a] and w = delta_k[!=b, a], delta_k
+    becomes D - w s u on the other cells, delta_(k-1) loses row a and
+    delta_(k+1) loses column b.  The cochain maps iota_k: C'^k -> C^k
+    (matrices n_k x n'_k) and pi_k: C^k -> C'^k satisfy pi iota = id and
+    iota pi ~ id, so they are inverse isomorphisms on cohomology
+    (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004).
+
+    Degrees are eliminated in increasing order, which leaves no unit entry
+    in any coboundary: a later step only deletes rows of the earlier ones.
+    Within a degree the rows are swept in index order until a sweep makes
+    no step; each row pivots on its unit entry whose column has the fewest
+    nonzeros, ties to the smaller index.  That keeps the fill-in low and
+    the result a function of c alone.
+    """
+    if c._reduced is not None:
+        return c._reduced
+    dim = c.dimension
+    rows = [{b: {a: x for a, x in enumerate(r) if x}
+             for b, r in enumerate(d.to_rows())} for d in c.delta]
+    cols = [{a: set() for a in range(d.cols)} for d in c.delta]
+    for rk, ck in zip(rows, cols):
+        for b, r in rk.items():
+            for a in r:
+                ck[a].add(b)
+    iota = [{j: {j: 1} for j in range(c.n_cells(k))} for k in range(dim + 1)]
+    pi = [{i: {i: 1} for i in range(c.n_cells(k))} for k in range(dim + 1)]
+    for k in range(dim):
+        rk, ck = rows[k], cols[k]
+        swept = False
+        while not swept:
+            swept = True
+            for b in sorted(rk):
+                u = rk.get(b)
+                units = [a for a, x in u.items() if x in (1, -1)] if u else ()
+                if not units:
+                    continue
+                swept = False
+                a = min(units, key=lambda a: (len(ck[a]), a))
+                s = u.pop(a)
+                del rk[b]
+                for j in u:
+                    ck[j].discard(b)
+                w = {}
+                for i in ck.pop(a) - {b}:
+                    ri = rk[i]
+                    w[i] = wi = ri.pop(a)
+                    for j, uj in u.items():
+                        old = ri.get(j)
+                        y = (old or 0) - wi * s * uj
+                        if y:
+                            ri[j] = y
+                            if old is None:
+                                ck[j].add(i)
+                        else:
+                            del ri[j]
+                            ck[j].discard(i)
+                if k > 0:
+                    for j in rows[k - 1].pop(a):
+                        cols[k - 1][j].discard(a)
+                if k + 1 < dim:
+                    for i in cols[k + 1].pop(b):
+                        del rows[k + 1][i][b]
+                ia = iota[k].pop(a)
+                for j, uj in u.items():
+                    _axpy(iota[k][j], ia, -s * uj)
+                pib = pi[k + 1].pop(b)
+                for i, wi in w.items():
+                    _axpy(pi[k + 1][i], pib, -s * wi)
+                del pi[k][a], iota[k + 1][b]
+    keep = [sorted(p) for p in pi]
+    pos = [{x: i for i, x in enumerate(kp)} for kp in keep]
+
+    def dense(vectors, width, index):
+        out = [[0] * width for _ in vectors]
+        for r, vec in zip(out, vectors):
+            for x, v in vec.items():
+                r[index[x]] = v
+        return IntMatrix.from_rows(out) if out else IntMatrix.zeros(0, width)
+
+    deltas = [dense([rows[k][b] for b in keep[k + 1]], len(keep[k]), pos[k])
+              for k in range(dim)]
+    n = [range(c.n_cells(k)) for k in range(dim + 1)]
+    iotas = [dense([iota[k][j] for j in kp], len(n[k]), n[k]).transpose()
+             for k, kp in enumerate(keep)]
+    pis = [dense([pi[k][i] for i in kp], len(n[k]), n[k])
+           for k, kp in enumerate(keep)]
+    red = CochainComplex([[c.cells[k][i] for i in kp]
+                          for k, kp in enumerate(keep)], deltas)
+    c._reduced = (red, iotas, pis)
+    return c._reduced
+
+
 def cohomology(c: CochainComplex, k: int) -> FgAbGroup:
     """ker delta_k / im delta_{k-1}, on a minimal generating set.
 
-    The presentation is reduced to canonical coordinates (one generator
-    per nontrivial invariant factor); `ambient_lift` holds cocycle
-    representatives of the generators and `ambient_cob` the coboundary
+    Computed on the reduced complex of _reduce.  The presentation is
+    reduced to canonical coordinates (one generator per nontrivial
+    invariant factor); `ambient_lift` holds cocycle representatives of the
+    generators in c's own cochains and `ambient_cob` c's coboundary
     lattice, so arbitrary cocycles can still be expressed in terms of the
     generators (see _express).
     """
@@ -81,8 +180,9 @@ def cohomology(c: CochainComplex, k: int) -> FgAbGroup:
     cached = c._hcache.get(k)
     if cached is not None:
         return cached
-    kb = kernel_basis(c.coboundary(k))
-    im = c.coboundary(k - 1) if k > 0 else IntMatrix.zeros(c.n_cells(k), 0)
+    red, iota, pi = _reduce(c)
+    kb = kernel_basis(red.coboundary(k))
+    im = red.coboundary(k - 1)
     rels = solve_matrix(kb, im)
     if rels is None:
         raise NotWellDefined("coboundaries do not lie in the cocycle lattice")
@@ -100,24 +200,28 @@ def cohomology(c: CochainComplex, k: int) -> FgAbGroup:
     minrel = IntMatrix.from_rows(
         [[col[i] for col in torsion_cols] for i in range(nk)]) \
         if torsion_cols else IntMatrix.zeros(nk, 0)
-    h = FgAbGroup(len(keep), minrel, ambient_lift=kb * from_min,
-                  ambient_cob=im)
+    lift = kb * from_min
+    h = FgAbGroup(nk, minrel, ambient_lift=iota[k] * lift,
+                  ambient_cob=c.coboundary(k - 1))
+    h._coords = (c.coboundary(k), pi[k], lift.hstack(im))
     c._hcache[k] = h
     return h
 
 
 def _express(h: FgAbGroup, cochains: IntMatrix) -> IntMatrix | None:
-    """Coordinates of cocycle columns in h's generators, modulo coboundaries.
+    """Coordinates of cocycle columns in h's generators, modulo coboundaries;
+    None when a column is not a cocycle.
 
-    The answer is unique modulo h's relation lattice, which is exactly the
-    ambiguity a GroupHom matrix is allowed to have.
+    A cocycle z is cohomologous to iota(pi z), so its coordinates are those
+    of pi z in the reduced lift and coboundaries.  The answer is unique
+    modulo h's relation lattice, which is exactly the ambiguity a GroupHom
+    matrix is allowed to have.
     """
-    if h.ambient_cob is None or h.ambient_cob.cols == 0:
-        return solve_matrix(h.ambient_lift, cochains)
-    x = solve_matrix(h.ambient_lift.hstack(h.ambient_cob), cochains)
-    if x is None:
+    delta, proj, basis = h._coords
+    if not (delta * cochains).is_zero():
         return None
-    return x.submatrix(range(h.ngens), range(x.cols))
+    x = solve_matrix(basis, proj * cochains)
+    return None if x is None else x.submatrix(range(h.ngens), range(x.cols))
 
 
 class CellularMap:
@@ -183,10 +287,22 @@ def pullback(f: CellularMap, require_injective: bool = False):
     mats = [m.transpose() for m in f.chain]
     if require_injective:
         for k, p in enumerate(mats):
-            if rank(p) != p.cols:
+            if not _disjoint_columns(p) and rank(p) != p.cols:
                 raise NotInjectiveOnCochains(
                     f"pullback not injective on degree-{k} cochains")
     return mats
+
+
+def _disjoint_columns(p: IntMatrix) -> bool:
+    """Do the columns of p have disjoint nonempty supports?  Then p is
+    injective, as is the pullback of a map sending each cell to one cell."""
+    hit = set()
+    for row in p.to_rows():
+        nz = [j for j, v in enumerate(row) if v]
+        if len(nz) > 1:
+            return False
+        hit.update(nz)
+    return len(hit) == p.cols
 
 
 def cohomology_tower(c: CochainComplex, self_map: CellularMap, k: int) -> TowerGroup:
@@ -197,7 +313,13 @@ def cohomology_tower(c: CochainComplex, self_map: CellularMap, k: int) -> TowerG
 
 def hom_on_cohomology(p: IntMatrix, ha: FgAbGroup, hb: FgAbGroup) -> GroupHom:
     """Induced map on cohomology from a cochain-level map p: C^k_a -> C^k_b."""
-    x = _express(hb, p * ha.ambient_lift)
+    return _induced(ha, hb, p * ha.ambient_lift)
+
+
+def _induced(ha: FgAbGroup, hb: FgAbGroup, image: IntMatrix) -> GroupHom:
+    """The hom ha -> hb sending each generator of ha to the class of the
+    matching column of `image`, a cocycle of hb's complex."""
+    x = _express(hb, image)
     if x is None:
         raise NotACochainMap("cochain map does not preserve cocycles")
     return GroupHom(ha, hb, x)
@@ -226,12 +348,11 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
     x, y = f.source, f.target
     pb = pullback(f, require_injective=True)
     projs, sections, qcells = [], [], []
-    for k in range(x.dimension + 1):
-        p = pb[k]
+    for k, p in enumerate(pb):
         # each source cell covers at most one target cell, with sign +-1
-        rep_row = {}
-        for i in range(p.rows):
-            nz = [(j, p.entry(i, j)) for j in range(p.cols) if p.entry(i, j)]
+        cover, rep = [], {}
+        for i, row in enumerate(p.to_rows()):
+            nz = [(j, v) for j, v in enumerate(row) if v]
             if len(nz) > 1:
                 raise NotWellDefined(
                     f"degree-{k} cell covers more than one target cell",
@@ -240,50 +361,77 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
                 raise NotWellDefined(
                     f"degree-{k} cell covers a target cell with multiplicity",
                     witness=x.cells[k][i])
+            cover.append(nz[0] if nz else None)
+            if nz:
+                rep.setdefault(nz[0][0], (i, nz[0][1]))
         for j in range(p.cols):
-            for i in range(p.rows):
-                if p.entry(i, j):
-                    rep_row[j] = (i, p.entry(i, j))
-                    break
-            else:
+            if j not in rep:
                 raise NotInjectiveOnCochains(
                     f"target degree-{k} cell {y.cells[k][j]} has no preimage")
-        rep_rows = {i for i, _ in rep_row.values()}
-        nonrep = [i for i in range(p.rows) if i not in rep_rows]
-        # retraction r: picks the representative coordinate per target cell
-        r = [[0] * p.rows for _ in range(p.cols)]
-        for j, (i, s) in rep_row.items():
-            r[j][i] = s
-        rmat = IntMatrix.from_rows(r) if r else IntMatrix.zeros(0, p.rows)
-        resid = IntMatrix.identity(p.rows) - p * rmat
-        q = resid.submatrix(nonrep, range(p.rows))
-        sec = [[int(i == nr) for nr in nonrep] for i in range(p.rows)]
-        projs.append(q)
+        n = p.rows
+        rep_rows = {i for i, _ in rep.values()}
+        nonrep = [i for i in range(n) if i not in rep_rows]
+        # projection: subtract the pullback of the representative coordinate
+        q = []
+        for i in nonrep:
+            r = [0] * n
+            r[i] = 1
+            if cover[i] is not None:
+                j, t = cover[i]
+                ri, s = rep[j]
+                r[ri] -= t * s
+            q.append(r)
+        sec = [[0] * len(nonrep) for _ in range(n)]
+        for idx, i in enumerate(nonrep):
+            sec[i][idx] = 1
+        projs.append(IntMatrix.from_rows(q) if q else IntMatrix.zeros(0, n))
         sections.append(IntMatrix.from_rows(sec) if sec else
-                        IntMatrix.zeros(p.rows, 0))
+                        IntMatrix.zeros(n, 0))
         qcells.append([x.cells[k][i] for i in nonrep])
     deltas = []
     for k in range(x.dimension):
-        deltas.append(projs[k + 1] * x.coboundary(k) * sections[k])
+        deltas.append(projs[k + 1] * (x.coboundary(k) * sections[k]))
         # section-independence: delta must kill the pulled-back cochains
-        if not (projs[k + 1] * x.coboundary(k) * pb[k]).is_zero():
+        if not (projs[k + 1] * (x.coboundary(k) * pb[k])).is_zero():
             raise NotWellDefined(
                 f"coboundary does not descend to the quotient at degree {k}")
     qx = CochainComplex(qcells, deltas)
     return QuotientComplex(x, y, f, qx, projs, sections)
 
 
+def _pullback_preimage(p: IntMatrix, pt: IntMatrix, b: IntMatrix):
+    """X with p X = b, or None, for a pullback p = pt^T whose columns have
+    disjoint supports of +-1 entries (quotient_complex checks this): then
+    p^T p is diagonal and X = (p^T p)^-1 p^T b exactly when b is in range."""
+    xs = []
+    for norm, row in zip((sum(v * v for v in r) for r in pt.to_rows()),
+                         (pt * b).to_rows()):
+        if any(v % norm for v in row):
+            return None
+        xs.append([v // norm for v in row])
+    x = IntMatrix.from_rows(xs) if xs else IntMatrix.zeros(0, b.cols)
+    return x if p * x == b else None
+
+
 def _connecting_matrix(qc: QuotientComplex, pb, k, hq: FgAbGroup, hy1: FgAbGroup):
     """Zig-zag connecting map H^k_Q -> H^{k+1}(Y) on cocycle bases."""
-    x = qc.base
-    lifted = x.coboundary(k) * qc.section[k] * hq.ambient_lift
-    y_coords = solve_matrix(pb[k + 1], lifted)
+    lifted = qc.base.coboundary(k) * (qc.section[k] * hq.ambient_lift)
+    y_coords = _pullback_preimage(pb[k + 1], qc.map.chain[k + 1], lifted)
     if y_coords is None:
         raise NotACochainMap("connecting map lift failed")
     coords = _express(hy1, y_coords)
     if coords is None:
         raise NotACochainMap("connecting image is not a cocycle class")
     return coords
+
+
+def _quotient_cohomology_tower(qc: QuotientComplex, self_x: CellularMap,
+                               k: int) -> TowerGroup:
+    """H^k_Q with the endo induced by proj f* section, applied to the
+    generators' lift first so every product has a thin right factor."""
+    h = cohomology(qc.complex, k)
+    z = self_x.chain[k].transpose() * (qc.section[k] * h.ambient_lift)
+    return TowerGroup(h, _induced(h, h, qc.proj[k] * z))
 
 
 def les_quotient(f: CellularMap, self_x: CellularMap, self_y: CellularMap):
@@ -300,9 +448,6 @@ def les_quotient(f: CellularMap, self_x: CellularMap, self_y: CellularMap):
                 f"factor map does not intertwine the self-maps at degree {k}")
     pb = pullback(f, require_injective=True)
     qc = quotient_complex(f)
-    qx = qc.complex
-    sq = [qc.proj[k] * self_x.chain[k].transpose() * qc.section[k]
-          for k in range(x.dimension + 1)]
     towers, maps, names = [], [], []
     prev_hq = None
     prev_hq_tower = None
@@ -315,8 +460,8 @@ def les_quotient(f: CellularMap, self_x: CellularMap, self_y: CellularMap):
     for k in range(d + 1):
         ty = cohomology_tower(y, self_y, k) if k <= y.dimension else zero
         tx = cohomology_tower(x, self_x, k)
-        hq = cohomology(qx, k)
-        tq = TowerGroup(hq, hom_on_cohomology(sq[k], hq, hq))
+        tq = _quotient_cohomology_tower(qc, self_x, k)
+        hq = tq.group
         if k == 0:
             maps.append(GroupHom.zero(zero.group, ty.group))
         else:

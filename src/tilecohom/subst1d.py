@@ -11,9 +11,10 @@ from __future__ import annotations
 import functools
 
 from .abelian import FgAbGroup, GroupHom, IntMatrix, is_primitive_matrix
-from .complexes import (CellularMap, CochainComplex, cohomology,
-                        cohomology_tower, hom_on_cohomology, lemma1_shortcut,
-                        les_quotient, pullback, quotient_complex)
+from .complexes import (CellularMap, CochainComplex,
+                        _quotient_cohomology_tower, cohomology_tower,
+                        hom_on_cohomology, les_quotient, pullback,
+                        quotient_complex)
 from .errors import InvalidPath, NotACochainMap, NotPrimitive
 from .limits import TowerGroup, classify, limit_les
 
@@ -269,9 +270,7 @@ def quotient_cohomology_1d(pair):
 def _quotient_tower(f, self_x, k):
     """H^k of the quotient complex of f with its induced self-map."""
     qc = quotient_complex(f)
-    h = cohomology(qc.complex, k)
-    sq = qc.proj[k] * self_x.chain[k].transpose() * qc.section[k]
-    return qc, TowerGroup(h, hom_on_cohomology(sq, h, h))
+    return qc, _quotient_cohomology_tower(qc, self_x, k)
 
 
 def verify_times2_ses(k: int, l: int):

@@ -7,7 +7,7 @@ from tilecohom.catalog import (PATH_STARTS, PATH_WORDS, FactorPath, SpaceId,
                                compute_quotient, compute_space,
                                expected_1d_space, golden_lookup, golden_table,
                                lemma1_agreement, verify_all)
-from tilecohom.errors import InvalidPath
+from tilecohom.errors import InvalidPath, NotBorderForcing
 
 
 class TestSpaceId:
@@ -101,6 +101,15 @@ class TestDrivers:
         edges = subst2d.lattice_edges()
         monkeypatch.setattr(subst2d, "lattice_edges", lambda: edges[::-1])
         assert compute_path(path) == want
+
+    def test_collar_off_honoured_for_chair_pairs(self):
+        # only 0,0 forces its border; auto keeps forced collars for pairs
+        with pytest.raises(NotBorderForcing):
+            compute_quotient("chair:/,0", "chair:0,0", "off")
+        with pytest.raises(NotBorderForcing):
+            compute_path(FactorPath("/,0", "C"), "off")
+        assert compute_quotient("chair:/,0", "chair:0,0", "auto") \
+            == compute_quotient("chair:/,0", "chair:0,0", "on")
 
     def test_lemma1_agreement_1d(self):
         maps = [(key, f, sx, sy) for key, f, sx, sy

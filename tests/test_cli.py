@@ -1,5 +1,7 @@
 """Command-line interface: output grammar, JSON documents, exit codes."""
 import json
+import signal
+import threading
 
 import pytest
 
@@ -66,6 +68,12 @@ class TestPath:
         code, _, err = run(capsys, "path", "chair:X,+", "AD")
         assert code == 2 and "error" in err
 
+    def test_collar_off_honoured(self, capsys):
+        # /,0 does not force its border, so it has no uncollared complex
+        code, out, err = run(capsys, "path", "chair:/,0", "C",
+                             "--collar", "off")
+        assert code == 1 and not out and "does not force its border" in err
+
 
 class TestVerify:
     def test_verify_1d_passes(self, capsys):
@@ -100,6 +108,22 @@ class TestMisc:
     def test_timeout_not_positive_is_usage_error(self, capsys, seconds):
         code, out, err = run(capsys, "space", "sol:2", "--timeout-sec", seconds)
         assert code == 2 and not out and "N >= 1" in err
+
+    def test_timeout_without_sigalrm_is_usage_error(self, capsys,
+                                                     monkeypatch):
+        monkeypatch.delattr(signal, "SIGALRM")
+        code, out, err = run(capsys, "space", "sol:2", "--timeout-sec", "60")
+        assert code == 2 and not out and "SIGALRM" in err
+
+    def test_timeout_off_main_thread_is_usage_error(self, capsys):
+        codes = []
+        t = threading.Thread(target=lambda: codes.append(main(
+            ["space", "sol:2", "--timeout-sec", "60"])))
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        out = capsys.readouterr()
+        assert codes == [2] and not out.out and "SIGALRM" in out.err
 
     def test_timeout_positive_runs(self, capsys):
         code, out, _ = run(capsys, "space", "sol:2", "--timeout-sec", "60")
