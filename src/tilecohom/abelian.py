@@ -8,6 +8,7 @@ integers, so there is no overflow at any size.
 from __future__ import annotations
 
 import functools
+import operator
 from itertools import compress
 
 from .errors import NotWellDefined
@@ -45,6 +46,17 @@ class IntMatrix:
                 raise ValueError("ragged rows")
         flat = [x for r in rows for x in r]
         return cls(len(rows), ncols, flat)
+
+    @classmethod
+    def from_entries(cls, rows, cols, entries):
+        """rows x cols matrix from sparse `{(i, j): value}` entries, zero
+        elsewhere; every value must be an int (`operator.index`)."""
+        out = [[0] * cols for _ in range(rows)]
+        for (i, j), v in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i}, {j}) outside {rows}x{cols}")
+            out[i][j] = operator.index(v)
+        return cls._of_rows(rows, cols, tuple(map(tuple, out)))
 
     @classmethod
     def zeros(cls, rows, cols):

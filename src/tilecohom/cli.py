@@ -28,28 +28,35 @@ def _common_flags():
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--json", action="store_true",
                    help="emit a structured JSON document")
-    p.add_argument("--collar", choices=["auto", "on", "off"], default="auto",
-                   help="collaring policy for 2-D complexes")
     p.add_argument("--timeout-sec", type=_positive_int, default=None,
                    metavar="N", help="abort the computation after N >= 1 seconds")
     return p
 
 
+def _collar_flag():
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--collar", choices=["auto", "on", "off"], default="auto",
+                   help="collaring policy for chair:* complexes (on and off "
+                        "are usage errors for 1-D spaces)")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
+    collared = [common, _collar_flag()]
     p = argparse.ArgumentParser(
         prog="tilecohom",
         description="Cohomology and quotient cohomology of substitution "
                     "tiling spaces (exact arithmetic).")
     sub = p.add_subparsers(dest="verb", required=True)
-    sp = sub.add_parser("space", parents=[common],
+    sp = sub.add_parser("space", parents=collared,
                         help="absolute cohomology of a named space")
     sp.add_argument("name", help='e.g. "tm:2,1", "sol:3", "chair:X,+"')
-    qp = sub.add_parser("quotient", parents=[common],
+    qp = sub.add_parser("quotient", parents=collared,
                         help="quotient cohomology of a factor-map pair")
     qp.add_argument("fine")
     qp.add_argument("coarse")
-    pp = sub.add_parser("path", parents=[common],
+    pp = sub.add_parser("path", parents=collared,
                         help="quotient cohomology of a composed lattice path")
     pp.add_argument("start", help='e.g. "chair:X,+"')
     pp.add_argument("word", help="word over A, B, C")
@@ -59,13 +66,20 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["1d", "2d", "all"])
     vp.add_argument("--grid", default=None, metavar="k1,l1;k2,l2",
                     help="override the 1-D parameter grid")
-    dp = sub.add_parser("dump", parents=[common],
+    dp = sub.add_parser("dump", parents=collared,
                         help="print the cells and coboundaries of a complex")
     dp.add_argument("name")
     return p
 
 
-def _collar(args) -> str:
+def _collar(args, *names) -> str:
+    """The library collar policy for --collar.  Only chair:* spaces have
+    collars, so `on` and `off` with a 1-D name are a usage error."""
+    if args.collar != "auto":
+        for name in names:
+            if catalog.SpaceId.parse(name).family != "chair":
+                raise InvalidPath(f"--collar {args.collar} applies only to "
+                                  f"chair:* spaces, not {name}")
     return {"auto": "auto", "on": "forced", "off": "off"}[args.collar]
 
 
@@ -91,7 +105,7 @@ def _degree_results(exprs):
 
 def _run_space(args):
     t0 = time.monotonic()
-    exprs = catalog.compute_space(args.name, _collar(args))
+    exprs = catalog.compute_space(args.name, _collar(args, args.name))
     ms = int((time.monotonic() - t0) * 1000)
     _emit(args,
           {"space": args.name, "results": _degree_results(exprs),
@@ -102,7 +116,8 @@ def _run_space(args):
 
 def _run_quotient(args):
     t0 = time.monotonic()
-    exprs = catalog.compute_quotient(args.fine, args.coarse, _collar(args))
+    exprs = catalog.compute_quotient(args.fine, args.coarse,
+                                     _collar(args, args.fine, args.coarse))
     ms = int((time.monotonic() - t0) * 1000)
     _emit(args,
           {"pair": f"{args.fine}->{args.coarse}",
@@ -151,8 +166,9 @@ def _run_verify(args):
 
 def _run_dump(args):
     sid = catalog.SpaceId.parse(args.name)
+    collar = _collar(args, args.name)
     if sid.family == "chair":
-        cx, _ = subst2d.ap_complex_2d(sid.scheme, _collar(args))
+        cx, _ = subst2d.ap_complex_2d(sid.scheme, collar)
     else:
         f = sid.family
         if f == "tm":

@@ -372,21 +372,16 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
         rep_rows = {i for i, _ in rep.values()}
         nonrep = [i for i in range(n) if i not in rep_rows]
         # projection: subtract the pullback of the representative coordinate
-        q = []
-        for i in nonrep:
-            r = [0] * n
-            r[i] = 1
+        q = {}
+        for idx, i in enumerate(nonrep):
+            q[idx, i] = 1
             if cover[i] is not None:
                 j, t = cover[i]
                 ri, s = rep[j]
-                r[ri] -= t * s
-            q.append(r)
-        sec = [[0] * len(nonrep) for _ in range(n)]
-        for idx, i in enumerate(nonrep):
-            sec[i][idx] = 1
-        projs.append(IntMatrix.from_rows(q) if q else IntMatrix.zeros(0, n))
-        sections.append(IntMatrix.from_rows(sec) if sec else
-                        IntMatrix.zeros(n, 0))
+                q[idx, ri] = -t * s
+        projs.append(IntMatrix.from_entries(len(nonrep), n, q))
+        sections.append(IntMatrix.from_entries(
+            n, len(nonrep), {(i, idx): 1 for idx, i in enumerate(nonrep)}))
         qcells.append([x.cells[k][i] for i in nonrep])
     deltas = []
     for k in range(x.dimension):

@@ -95,22 +95,12 @@ class Substitution2D:
                                          witness=child)
         self._legal_cache = {}
 
-    def inflate(self, patch):
-        out = {}
-        for (i, j), t in patch.items():
-            for (c, r), child in self.rule[t].items():
-                out[(2 * i + c, 2 * j + r)] = child
-        return out
-
-    @staticmethod
-    def windows(patch, w, h):
-        xs = [i for i, _ in patch]
-        ys = [j for _, j in patch]
-        x0s, y0s = min(xs), min(ys)
-        width, height = max(xs) - x0s + 1, max(ys) - y0s + 1
-        return [tuple(tuple(patch[(x0s + x0 + i, y0s + y0 + j)]
-                            for i in range(w)) for j in range(h))
-                for x0 in range(width - w + 1) for y0 in range(height - h + 1)]
+    def inflate(self, rows):
+        """Inflation of a patch given as rows of tiles, south row first
+        (rows[j][i] is the tile at (i, j))."""
+        rule = self.rule
+        return [[rule[t][(c, r)] for t in row for c in (0, 1)]
+                for row in rows for r in (0, 1)]
 
     def matrix(self) -> IntMatrix:
         idx = {t: i for i, t in enumerate(self.tiles)}
@@ -129,29 +119,32 @@ class Substitution2D:
             raise NotPrimitive("block substitution is not primitive")
 
     def legal(self, w, h):
-        """All legal w x h patches: seed from large supertiles, close under
-        inflation (stops when a pass adds nothing new)."""
+        """All legal w x h patches, as rows: seed from large supertiles,
+        close under inflation (stops when a pass adds nothing new)."""
         key = (w, h)
         if key in self._legal_cache:
             return self._legal_cache[key]
         self.require_primitive()
+
+        def windows(rows):
+            # cuts[y][x0] is row y cut to [x0, x0 + w); zipping h
+            # consecutive rows of cuts yields the windows of that band
+            cuts = [[tuple(row[x0:x0 + w]) for x0 in range(len(row) - w + 1)]
+                    for row in rows]
+            return set().union(*(zip(*cuts[y0:y0 + h])
+                                 for y0 in range(len(cuts) - h + 1)))
+
         found = set()
         for t in self.tiles:
-            patch = {(0, 0): t}
-            while len({i for i, _ in patch}) < max(w, h) * 2:
-                patch = self.inflate(patch)
-            found.update(self.windows(patch, w, h))
-        frontier = list(found)
+            rows = [[t]]
+            while len(rows) < max(w, h) * 2:
+                rows = self.inflate(rows)
+            found |= windows(rows)
+        frontier = found
         while frontier:
-            fresh = []
-            for win in frontier:
-                patch = {(i, j): win[j][i]
-                         for j in range(h) for i in range(w)}
-                for sub in self.windows(self.inflate(patch), w, h):
-                    if sub not in found:
-                        found.add(sub)
-                        fresh.append(sub)
-            frontier = fresh
+            frontier = set().union(*map(windows, map(self.inflate, frontier)))
+            frontier -= found
+            found |= frontier
         result = sorted(found, key=repr)
         self._legal_cache[key] = result
         return result
@@ -169,64 +162,100 @@ def enumerate_prototiles(name: str):
     return tuple(sorted({q(t) for t in MASTER_TILES}, key=repr))
 
 
-def _qwin(q, win):
-    return tuple(tuple(q(t) for t in row) for row in win)
+def _rows(flat, n, tiles):
+    """A flat n x n window of master-tile indices as rows of tiles[index]."""
+    return tuple(tuple(tiles[t] for t in flat[j * n:(j + 1) * n])
+                 for j in range(n))
 
 
-def _system_for_q(q, r):
-    """Collared classes of a decoration quotient at collar depth r.
+@functools.lru_cache(maxsize=None)
+def _master_index(r: int):
+    """Int-keyed index of the legal master windows for collar depth r.
 
-    Classes are images of legal (2r+1)-square master windows; the
-    substitution must descend to them (images of the four child windows
-    depend only on the image of the parent), otherwise the offending pair
-    of master windows is reported.
+    Built from the legal m-square master windows (m = 2r + 2) alone: their
+    n-square sub-windows (n = 2r + 1) are exactly the legal n x n, and
+    their (n+1) x n, n x (n+1) and m x m sub-windows give every adjacency
+    and corner contact (tests/test_master_index.py checks both facts).
+    `windows` lists the n x n windows as flat row-major tuples of indices
+    into `master_system().tiles`, in `legal(n, n)` (repr) order; a window's
+    id is its position there.  `children[w]` holds the ids of the four
+    windows centred on the children of w's centre tile, in QUADS order;
+    `h`, `v` and `corners` hold the id pairs (west, east), (south, north)
+    and quadruples (SW, SE, NW, NE) of contacts.
     """
     ms = master_system()
-    n = 2 * r + 1
-    smap = {}
-    witness_of = {}
-    for win in ms.legal(n, n):
-        patch = {(i, j): win[j][i] for j in range(n) for i in range(n)}
-        big = ms.inflate(patch)
-        blk = {}
-        for (c, rr) in QUADS:
-            ci, cj = 2 * r + c, 2 * r + rr
-            blk[(c, rr)] = _qwin(q, tuple(
-                tuple(big[(ci - r + i, cj - r + j)] for i in range(n))
-                for j in range(n)))
-        key = _qwin(q, win)
-        if key in smap:
-            if smap[key] != blk:
-                raise NotWellDefined(
-                    f"substitution does not descend to the quotient at "
-                    f"collar depth {r}", witness=(witness_of[key], win))
-        else:
-            smap[key] = blk
-            witness_of[key] = win
-    classes = sorted(smap, key=repr)
-    hpairs, vpairs, blocks = set(), set(), set()
-    for win in ms.legal(n + 1, n):
-        a = _qwin(q, tuple(row[:n] for row in win))
-        b = _qwin(q, tuple(row[1:] for row in win))
-        hpairs.add((a, b))
-    for win in ms.legal(n, n + 1):
-        a = _qwin(q, win[:n])
-        b = _qwin(q, win[1:])
-        vpairs.add((a, b))
-    for win in ms.legal(n + 1, n + 1):
+    tid = {t: i for i, t in enumerate(ms.tiles)}
+    n, m = 2 * r + 1, 2 * r + 2
 
-        def corner(x0, y0):
-            return _qwin(q, tuple(row[x0:x0 + n] for row in win[y0:y0 + n]))
+    def cut(width, x0, y0):
+        """Getter of the n x n sub-window at (x0, y0) of a flat window."""
+        idx = [(y0 + j) * width + x0 + i for j in range(n) for i in range(n)]
+        return lambda flat: tuple(flat[k] for k in idx)
 
-        blocks.add((corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1)))
-    return dict(classes=classes, smap=smap, hpairs=sorted(hpairs, key=repr),
-                vpairs=sorted(vpairs, key=repr),
-                blocks=sorted(blocks, key=repr), r=r)
+    subs = {(x0, y0): cut(m, x0, y0) for x0 in (0, 1) for y0 in (0, 1)}
+    masters = [tuple(tid[t] for row in win for t in row)
+               for win in ms.legal(m, m)]
+    windows = sorted({sub(w) for w in masters for sub in subs.values()})
+    wid = {w: i for i, w in enumerate(windows)}
+    centred = [cut(2 * n, r + c, r + rr) for c, rr in QUADS]
+    children = []
+    for w in windows:
+        big = [tid[t] for row in ms.inflate(_rows(w, n, ms.tiles))
+               for t in row]
+        children.append(tuple(wid[sub(big)] for sub in centred))
+    ids = [{key: wid[sub(w)] for key, sub in subs.items()} for w in masters]
+    return dict(
+        n=n, windows=windows, children=children,
+        h=sorted({(s[0, y], s[1, y]) for s in ids for y in (0, 1)}),
+        v=sorted({(s[x, 0], s[x, 1]) for s in ids for x in (0, 1)}),
+        corners=sorted({(s[0, 0], s[1, 0], s[0, 1], s[1, 1]) for s in ids}))
+
+
+def _quotient(q, r):
+    """Collared classes of a decoration quotient at collar depth r.
+
+    Classes are images under q of legal (2r+1)-square master windows, in
+    repr order; `cls` maps each master window id to its class.  The
+    substitution must descend to them (the classes of the four child
+    windows depend only on the class of the parent), otherwise the first
+    offending pair of master windows is reported.
+    """
+    idx = _master_index(r)
+    n = idx["n"]
+    image = [q(t) for t in master_system().tiles]
+    code = {}
+    tcode = [code.setdefault(x, len(code)) for x in image]
+    first = {}
+    rep = [first.setdefault(tuple(tcode[t] for t in w), i)
+           for i, w in enumerate(idx["windows"])]
+    keys = {i: _rows(idx["windows"][i], n, image) for i in first.values()}
+    order = sorted(keys, key=lambda i: repr(keys[i]))
+    cid = {i: c for c, i in enumerate(order)}
+    cls = [cid[i] for i in rep]
+    smap = [None] * len(order)
+    for w, kids in enumerate(idx["children"]):
+        blk = tuple(cls[k] for k in kids)
+        if smap[cls[w]] is None:
+            smap[cls[w]] = blk
+        elif smap[cls[w]] != blk:
+            tiles = master_system().tiles
+            raise NotWellDefined(
+                f"substitution does not descend to the quotient at "
+                f"collar depth {r}",
+                witness=tuple(_rows(idx["windows"][x], n, tiles)
+                              for x in (order[cls[w]], w)))
+
+    def contacts(key):
+        return sorted({tuple(cls[w] for w in c) for c in idx[key]})
+
+    return dict(classes=[keys[i] for i in order], cls=cls, smap=smap,
+                hpairs=contacts("h"), vpairs=contacts("v"),
+                blocks=contacts("corners"), r=r)
 
 
 @functools.lru_cache(maxsize=None)
 def _collared_system(name: str, r: int):
-    return _system_for_q(decorate(name), r)
+    return _quotient(decorate(name), r)
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,18 +277,17 @@ def descend_rule(scheme) -> Substitution2D:
     does not descend at all raises NotWellDefined with a witness pair.
     """
     if callable(scheme):
-        sysd = _system_for_q(scheme, 0)
+        sysd = _quotient(scheme, 0)
     elif _tile_descends(scheme):
         sysd = _collared_system(scheme, 0)
     else:
         sysd = _collared_system(scheme, 1)
+    classes = sysd["classes"]
     if sysd["r"] == 0:
-        tiles = [win[0][0] for win in sysd["classes"]]
-        rule = {win[0][0]: {quad: child[0][0]
-                            for quad, child in sysd["smap"][win].items()}
-                for win in sysd["classes"]}
-        return Substitution2D(tiles, rule)
-    return Substitution2D(sysd["classes"], sysd["smap"])
+        classes = [c[0][0] for c in classes]
+    return Substitution2D(classes, {
+        c: {quad: classes[k] for quad, k in zip(QUADS, kids)}
+        for c, kids in zip(classes, sysd["smap"])})
 
 
 def legal_adjacencies(scheme, depth: int = 0):
@@ -273,7 +301,9 @@ def legal_adjacencies(scheme, depth: int = 0):
         vp = {(w[0][0], w[1][0]) for w in scheme.legal(1, 2)}
         return sorted(hp, key=repr), sorted(vp, key=repr)
     sysd = _collared_system(scheme, depth)
-    return sysd["hpairs"], sysd["vpairs"]
+    classes = sysd["classes"]
+    return tuple([(classes[a], classes[b]) for a, b in sysd[key]]
+                 for key in ("hpairs", "vpairs"))
 
 
 def border_forcing_check(scheme, max_power: int = 4):
@@ -292,26 +322,20 @@ def border_forcing_check(scheme, max_power: int = 4):
         sub = descend_rule(scheme)
     legal3 = sub.legal(3, 3)
     for k in range(1, max_power + 1):
-        ok = True
+        lo, hi = 2 ** k - 1, 2 ** (k + 1)
+        ring = [(i, j) for i in range(lo, hi + 1) for j in range(lo, hi + 1)
+                if i in (lo, hi) or j in (lo, hi)]
         for t in sub.tiles:
             rings = set()
-            for win in legal3:
-                if win[1][1] != t:
+            for rows in legal3:
+                if rows[1][1] != t:
                     continue
-                patch = {(i, j): win[j][i] for j in range(3) for i in range(3)}
                 for _ in range(k):
-                    patch = sub.inflate(patch)
-                m = 2 ** k
-                lo, hi = m - 1, 2 * m
-                ring = tuple(sorted(((i, j), patch[(i, j)])
-                                    for i in range(lo, hi + 1)
-                                    for j in range(lo, hi + 1)
-                                    if i in (lo, hi) or j in (lo, hi)))
-                rings.add(ring)
+                    rows = sub.inflate(rows)
+                rings.add(tuple(rows[j][i] for i, j in ring))
             if len(rings) > 1:
-                ok = False
                 break
-        if ok:
+        else:
             return k
     return None
 
@@ -330,15 +354,12 @@ def collar_depth(name: str, collar: str = "auto") -> int:
     raise ValueError(f"collar must be auto/forced/off, not {collar!r}")
 
 
-class _DSU:
-    def __init__(self):
-        self.p = {}
+def _roots(size, pairs):
+    """Union-find on 0..size-1: each (a, b) in turn makes b's root the root
+    of a's class.  Returns the root of every element."""
+    p = list(range(size))
 
-    def find(self, x):
-        p = self.p
-        if x not in p:
-            p[x] = x
-            return x
+    def find(x):
         root = x
         while p[root] != root:
             root = p[root]
@@ -346,124 +367,101 @@ class _DSU:
             p[x], x = root, p[x]
         return root
 
-    def union(self, a, b):
-        self.p[self.find(a)] = self.find(b)
+    for a, b in pairs:
+        p[find(a)] = find(b)
+    return [find(x) for x in range(size)]
 
 
-# edge orientations: S/N edges run west->east, W/E edges run south->north;
-# 2-cells are oriented counterclockwise
-_EDGE_ENDS = {"S": ("SW", "SE"), "N": ("NW", "NE"),
-              "W": ("SW", "NW"), "E": ("SE", "NE")}
-_CORNER_QUAD = {"SW": Q_SW, "SE": Q_SE, "NW": Q_NW, "NE": Q_NE}
+def _cells(roots, names, classes):
+    """Cell labels (class, side/corner) of the union-find roots, in repr
+    order, and the cell index of every (class, slot) element."""
+    labels = sorted(set(roots), key=lambda x: (x >> 2, names[x & 3]))
+    at = {x: i for i, x in enumerate(labels)}
+    return ([(classes[x >> 2], names[x & 3]) for x in labels],
+            [at[x] for x in roots])
 
 
-def _cell_dsus(sysd):
-    """Edge and vertex identifications from adjacency and corner contacts."""
-    edsu, vdsu = _DSU(), _DSU()
-    for a, b in sysd["hpairs"]:
-        edsu.union((a, "E"), (b, "W"))
-        vdsu.union((a, "SE"), (b, "SW"))
-        vdsu.union((a, "NE"), (b, "NW"))
-    for a, b in sysd["vpairs"]:
-        edsu.union((a, "N"), (b, "S"))
-        vdsu.union((a, "NW"), (b, "SW"))
-        vdsu.union((a, "NE"), (b, "SE"))
-    for sw, se, nw, ne in sysd["blocks"]:
-        vdsu.union((sw, "NE"), (se, "NW"))
-        vdsu.union((sw, "NE"), (nw, "SE"))
-        vdsu.union((sw, "NE"), (ne, "SW"))
-    return edsu, vdsu
+# The edges and vertices of class c are numbered 4c + slot, with slots in
+# SIDES and CORNERS order.  S/N edges run west->east and W/E edges
+# south->north (tail, head below); 2-cells are oriented counterclockwise.
+_S, _N, _W, _E = range(4)
+_SW, _SE, _NW, _NE = range(4)
+_ENDS = ((_SW, _SE), (_NW, _NE), (_SW, _NW), (_SE, _NE))
+# position in QUADS of the child quadrant at each corner
+_CORNER_QUAD = tuple(QUADS.index(q) for q in (Q_SW, Q_SE, Q_NW, Q_NE))
+
+
+def _cell_map(index, image, what, classes, names):
+    """{cell: image(c, slot)} over every (class, slot) element of `index`;
+    the image of a cell must not depend on the representative element."""
+    seen = {}
+    for x, i in enumerate(index):
+        j = image(x >> 2, x & 3)
+        if seen.setdefault(i, j) != j:
+            raise NotWellDefined(f"{what} differs between representatives",
+                                 witness=(classes[x >> 2], names[x & 3]))
+    return seen
 
 
 @functools.lru_cache(maxsize=None)
 def _ap_complex_2d_depth(name: str, r: int):
+    """(complex, self-map, edge index, vertex index) at collar depth r; the
+    indices map each 4 * class + slot to its cell."""
     sysd = _collared_system(name, r)
-    classes = sysd["classes"]
-    smap = sysd["smap"]
-    edsu, vdsu = _cell_dsus(sysd)
-    edges = sorted({edsu.find((c, s)) for c in classes for s in SIDES},
-                   key=repr)
-    verts = sorted({vdsu.find((c, k)) for c in classes for k in CORNERS},
-                   key=repr)
-    ei = {x: i for i, x in enumerate(edges)}
-    vi = {x: i for i, x in enumerate(verts)}
-    ci = {c: i for i, c in enumerate(classes)}
+    classes, smap = sysd["classes"], sysd["smap"]
+    nc = len(classes)
+    hp, vp = sysd["hpairs"], sysd["vpairs"]
+    edges, eix = _cells(_roots(
+        4 * nc, [(4 * a + _E, 4 * b + _W) for a, b in hp]
+        + [(4 * a + _N, 4 * b + _S) for a, b in vp]), SIDES, classes)
+    verts, vix = _cells(_roots(
+        4 * nc, [x for a, b in hp for x in ((4 * a + _SE, 4 * b + _SW),
+                                             (4 * a + _NE, 4 * b + _NW))]
+        + [x for a, b in vp for x in ((4 * a + _NW, 4 * b + _SW),
+                                      (4 * a + _NE, 4 * b + _SE))]
+        + [(4 * sw + _NE, 4 * x + k) for sw, se, nw, ne in sysd["blocks"]
+           for x, k in ((se, _NW), (nw, _SE), (ne, _SW))]), CORNERS, classes)
 
-    def eix(c, s):
-        return ei[edsu.find((c, s))]
+    d0 = {}
+    for i, (h, t) in _cell_map(
+            eix, lambda c, s: (vix[4 * c + _ENDS[s][1]],
+                               vix[4 * c + _ENDS[s][0]]),
+            "edge endpoints", classes, SIDES).items():
+        d0[i, h] = d0.get((i, h), 0) + 1
+        d0[i, t] = d0.get((i, t), 0) - 1
+    d1 = {}
+    for c in range(nc):
+        for s, sign in ((_S, 1), (_E, 1), (_N, -1), (_W, -1)):
+            d1[c, eix[4 * c + s]] = d1.get((c, eix[4 * c + s]), 0) + sign
+    cx = CochainComplex([verts, edges, classes],
+                        [IntMatrix.from_entries(len(edges), len(verts), d0),
+                         IntMatrix.from_entries(nc, len(edges), d1)])
 
-    def vix(c, k):
-        return vi[vdsu.find((c, k))]
-
-    d0 = [[0] * len(verts) for _ in range(len(edges))]
-    seen_d0 = {}
-    for c in classes:
-        for s, (tail, head) in _EDGE_ENDS.items():
-            col = (vix(c, head), vix(c, tail))
-            i = eix(c, s)
-            if seen_d0.setdefault(i, col) != col:
-                raise NotWellDefined(
-                    "edge endpoints differ between representatives",
-                    witness=(c, s))
-    for i, (h, t) in seen_d0.items():
-        d0[i][h] += 1
-        d0[i][t] -= 1
-    d1 = [[0] * len(edges) for _ in range(len(classes))]
-    for c in classes:
-        row = d1[ci[c]]
-        row[eix(c, "S")] += 1
-        row[eix(c, "E")] += 1
-        row[eix(c, "N")] -= 1
-        row[eix(c, "W")] -= 1
-    cx = CochainComplex(
-        [verts, edges, classes],
-        [IntMatrix.from_rows(d0), IntMatrix.from_rows(d1)])
-
-    a2 = [[0] * len(classes) for _ in range(len(classes))]
-    for c in classes:
-        for child in smap[c].values():
-            a2[ci[child]][ci[c]] += 1
-    child_edges = {"S": ((Q_SW, "S"), (Q_SE, "S")),
-                   "N": ((Q_NW, "N"), (Q_NE, "N")),
-                   "W": ((Q_SW, "W"), (Q_NW, "W")),
-                   "E": ((Q_SE, "E"), (Q_NE, "E"))}
-    a1 = [[0] * len(edges) for _ in range(len(edges))]
-    seen1 = {}
-    for c in classes:
-        blk = smap[c]
-        for s, parts in child_edges.items():
-            img = tuple(sorted(eix(blk[quad], ss) for quad, ss in parts))
-            i = eix(c, s)
-            if seen1.setdefault(i, img) != img:
-                raise NotWellDefined(
-                    "substitution image of an edge differs between "
-                    "representatives", witness=(c, s))
-    for i, img in seen1.items():
+    a2 = {}
+    for c, kids in enumerate(smap):
+        for k in kids:
+            a2[k, c] = a2.get((k, c), 0) + 1
+    a1 = {}
+    for i, img in _cell_map(
+            eix, lambda c, s: tuple(sorted(
+                eix[4 * smap[c][_CORNER_QUAD[k]] + s] for k in _ENDS[s])),
+            "substitution image of an edge", classes, SIDES).items():
         for j in img:
-            a1[j][i] += 1
-    a0 = [[0] * len(verts) for _ in range(len(verts))]
-    seen0 = {}
-    for c in classes:
-        blk = smap[c]
-        for k, quad in _CORNER_QUAD.items():
-            img = vix(blk[quad], k)
-            i = vix(c, k)
-            if seen0.setdefault(i, img) != img:
-                raise NotWellDefined(
-                    "substitution image of a vertex differs between "
-                    "representatives", witness=(c, k))
-    for i, img in seen0.items():
-        a0[img][i] = 1
-    self_map = CellularMap(cx, cx, [IntMatrix.from_rows(a0),
-                                    IntMatrix.from_rows(a1),
-                                    IntMatrix.from_rows(a2)])
-    return cx, self_map
+            a1[j, i] = a1.get((j, i), 0) + 1
+    a0 = _cell_map(vix, lambda c, k: vix[4 * smap[c][_CORNER_QUAD[k]] + k],
+                   "substitution image of a vertex", classes, CORNERS)
+    self_map = CellularMap(cx, cx, [
+        IntMatrix.from_entries(len(verts), len(verts),
+                               {(j, i): 1 for i, j in a0.items()}),
+        IntMatrix.from_entries(len(edges), len(edges), a1),
+        IntMatrix.from_entries(nc, nc, a2)])
+    return cx, self_map, eix, vix
 
 
 def ap_complex_2d(name: str, collar: str = "auto"):
     """(approximant complex, substitution self-map) of a decoration scheme."""
     scheme_parts(name)
-    return _ap_complex_2d_depth(name, collar_depth(name, collar))
+    return _ap_complex_2d_depth(name, collar_depth(name, collar))[:2]
 
 
 def lattice_edges():
@@ -511,76 +509,30 @@ def edge_type(fine: str, coarse: str) -> str:
     return "A"
 
 
-def _tile_coarsening(fine: str, coarse: str):
-    qf, qc = decorate(fine), decorate(coarse)
-    out = {}
-    for t in MASTER_TILES:
-        ft, ct = qf(t), qc(t)
-        if out.setdefault(ft, ct) != ct:
-            raise NotWellDefined(
-                f"coarsening {fine} -> {coarse} not determined by fine tiles",
-                witness=t)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def factor_map_edge(fine: str, coarse: str, collar: str = "forced"):
     """Cellular factor map between the complexes of two adjacent schemes."""
     edge_type(fine, coarse)
     r = max(collar_depth(fine, collar), collar_depth(coarse, collar))
-    fcx, _ = _ap_complex_2d_depth(fine, r)
-    ccx, _ = _ap_complex_2d_depth(coarse, r)
-    tmap = _tile_coarsening(fine, coarse)
-
-    def cmap(win):
-        return tuple(tuple(tmap[t] for t in row) for row in win)
-
-    fci = {c: i for i, c in enumerate(fcx.cells[2])}
-    cci = {c: i for i, c in enumerate(ccx.cells[2])}
-    m2 = [[0] * len(fcx.cells[2]) for _ in range(len(ccx.cells[2]))]
-    for c in fcx.cells[2]:
-        m2[cci[cmap(c)]][fci[c]] = 1
-    # edges/vertices: the identified-cell image must not depend on the
-    # representative (class, side/corner) pair
-    fe, fv = _cell_lookups(fcx, _collared_system(fine, r))
-    ce, cv = _cell_lookups(ccx, _collared_system(coarse, r))
-    m1 = [[0] * len(fcx.cells[1]) for _ in range(len(ccx.cells[1]))]
-    seen1 = {}
-    for c in fcx.cells[2]:
-        for s in SIDES:
-            i, j = fe[(c, s)], ce[(cmap(c), s)]
-            if seen1.setdefault(i, j) != j:
-                raise NotWellDefined(
-                    "edge image differs between representatives",
-                    witness=(c, s))
-    for i, j in seen1.items():
-        m1[j][i] = 1
-    m0 = [[0] * len(fcx.cells[0]) for _ in range(len(ccx.cells[0]))]
-    seen0 = {}
-    for c in fcx.cells[2]:
-        for k in CORNERS:
-            i, j = fv[(c, k)], cv[(cmap(c), k)]
-            if seen0.setdefault(i, j) != j:
-                raise NotWellDefined(
-                    "vertex image differs between representatives",
-                    witness=(c, k))
-    for i, j in seen0.items():
-        m0[j][i] = 1
-    return CellularMap(fcx, ccx, [IntMatrix.from_rows(m0),
-                                  IntMatrix.from_rows(m1),
-                                  IntMatrix.from_rows(m2)])
-
-
-def _cell_lookups(cx, sysd):
-    """(edge index, vertex index) lookups keyed by (class, side/corner)."""
-    edsu, vdsu = _cell_dsus(sysd)
-    ei = {x: i for i, x in enumerate(cx.cells[1])}
-    vi = {x: i for i, x in enumerate(cx.cells[0])}
-    fe = {(c, s): ei[edsu.find((c, s))]
-          for c in cx.cells[2] for s in SIDES}
-    fv = {(c, k): vi[vdsu.find((c, k))]
-          for c in cx.cells[2] for k in CORNERS}
-    return fe, fv
+    fcx, _, fe, fv = _ap_complex_2d_depth(fine, r)
+    ccx, _, ce, cv = _ap_complex_2d_depth(coarse, r)
+    fsys = _collared_system(fine, r)
+    fclasses = fsys["classes"]
+    # the coarse class of each fine class, read off the master windows
+    down = {}
+    for a, b in zip(fsys["cls"], _collared_system(coarse, r)["cls"]):
+        if down.setdefault(a, b) != b:
+            raise NotWellDefined(
+                f"coarsening {fine} -> {coarse} not determined by fine "
+                "classes", witness=fclasses[a])
+    m1 = _cell_map(fe, lambda c, s: ce[4 * down[c] + s], "edge image",
+                   fclasses, SIDES)
+    m0 = _cell_map(fv, lambda c, k: cv[4 * down[c] + k], "vertex image",
+                   fclasses, CORNERS)
+    return CellularMap(fcx, ccx, [
+        IntMatrix.from_entries(ccx.n_cells(k), fcx.n_cells(k),
+                               {(j, i): 1 for i, j in m.items()})
+        for k, m in enumerate((m0, m1, down))])
 
 
 def path_realizations(space: str, word: str):

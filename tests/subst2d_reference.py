@@ -1,0 +1,426 @@
+"""Reference 2-D complex construction on tuple-keyed windows.
+
+These are the dict-patch legal-window enumeration (`Substitution2D.legal`),
+the per-scheme window work (`_system_for_q`), the tuple-keyed union-find
+(`_DSU`, `_cell_dsus`, `_cell_lookups`), the complex build
+(`_ap_complex_2d_depth`), the factor map (`factor_map_edge`) and
+`border_forcing_check` that the int-keyed master-window index in
+`tilecohom.subst2d` replaced, kept verbatim so the differential tests can
+demand identical windows, cells, matrices, rules and witnesses.  Test-only
+code.
+"""
+from __future__ import annotations
+
+import functools
+
+from tilecohom import subst2d
+from tilecohom.abelian import IntMatrix
+from tilecohom.complexes import CellularMap, CochainComplex
+from tilecohom.errors import NotWellDefined
+from tilecohom.subst2d import (CORNERS, MASTER_TILES, QUADS, Q_NE, Q_NW,
+                               Q_SE, Q_SW, SIDES, collar_depth, decorate,
+                               edge_type, master_rule)
+
+
+class Substitution2D(subst2d.Substitution2D):
+    """The block substitution with its former dict-patch methods."""
+
+    def inflate(self, patch):
+        out = {}
+        for (i, j), t in patch.items():
+            for (c, r), child in self.rule[t].items():
+                out[(2 * i + c, 2 * j + r)] = child
+        return out
+
+    @staticmethod
+    def windows(patch, w, h):
+        xs = [i for i, _ in patch]
+        ys = [j for _, j in patch]
+        x0s, y0s = min(xs), min(ys)
+        width, height = max(xs) - x0s + 1, max(ys) - y0s + 1
+        return [tuple(tuple(patch[(x0s + x0 + i, y0s + y0 + j)]
+                            for i in range(w)) for j in range(h))
+                for x0 in range(width - w + 1) for y0 in range(height - h + 1)]
+
+    def legal(self, w, h):
+        """All legal w x h patches: seed from large supertiles, close under
+        inflation (stops when a pass adds nothing new)."""
+        key = (w, h)
+        if key in self._legal_cache:
+            return self._legal_cache[key]
+        self.require_primitive()
+        found = set()
+        for t in self.tiles:
+            patch = {(0, 0): t}
+            while len({i for i, _ in patch}) < max(w, h) * 2:
+                patch = self.inflate(patch)
+            found.update(self.windows(patch, w, h))
+        frontier = list(found)
+        while frontier:
+            fresh = []
+            for win in frontier:
+                patch = {(i, j): win[j][i]
+                         for j in range(h) for i in range(w)}
+                for sub in self.windows(self.inflate(patch), w, h):
+                    if sub not in found:
+                        found.add(sub)
+                        fresh.append(sub)
+            frontier = fresh
+        result = sorted(found, key=repr)
+        self._legal_cache[key] = result
+        return result
+
+
+@functools.lru_cache(maxsize=None)
+def master_system() -> Substitution2D:
+    return Substitution2D(MASTER_TILES, {t: master_rule(t)
+                                         for t in MASTER_TILES})
+
+
+def _qwin(q, win):
+    return tuple(tuple(q(t) for t in row) for row in win)
+
+
+def _system_for_q(q, r):
+    """Collared classes of a decoration quotient at collar depth r.
+
+    Classes are images of legal (2r+1)-square master windows; the
+    substitution must descend to them (images of the four child windows
+    depend only on the image of the parent), otherwise the offending pair
+    of master windows is reported.
+    """
+    ms = master_system()
+    n = 2 * r + 1
+    smap = {}
+    witness_of = {}
+    for win in ms.legal(n, n):
+        patch = {(i, j): win[j][i] for j in range(n) for i in range(n)}
+        big = ms.inflate(patch)
+        blk = {}
+        for (c, rr) in QUADS:
+            ci, cj = 2 * r + c, 2 * r + rr
+            blk[(c, rr)] = _qwin(q, tuple(
+                tuple(big[(ci - r + i, cj - r + j)] for i in range(n))
+                for j in range(n)))
+        key = _qwin(q, win)
+        if key in smap:
+            if smap[key] != blk:
+                raise NotWellDefined(
+                    f"substitution does not descend to the quotient at "
+                    f"collar depth {r}", witness=(witness_of[key], win))
+        else:
+            smap[key] = blk
+            witness_of[key] = win
+    classes = sorted(smap, key=repr)
+    hpairs, vpairs, blocks = set(), set(), set()
+    for win in ms.legal(n + 1, n):
+        a = _qwin(q, tuple(row[:n] for row in win))
+        b = _qwin(q, tuple(row[1:] for row in win))
+        hpairs.add((a, b))
+    for win in ms.legal(n, n + 1):
+        a = _qwin(q, win[:n])
+        b = _qwin(q, win[1:])
+        vpairs.add((a, b))
+    for win in ms.legal(n + 1, n + 1):
+
+        def corner(x0, y0):
+            return _qwin(q, tuple(row[x0:x0 + n] for row in win[y0:y0 + n]))
+
+        blocks.add((corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1)))
+    return dict(classes=classes, smap=smap, hpairs=sorted(hpairs, key=repr),
+                vpairs=sorted(vpairs, key=repr),
+                blocks=sorted(blocks, key=repr), r=r)
+
+
+@functools.lru_cache(maxsize=None)
+def _collared_system(name: str, r: int):
+    return _system_for_q(decorate(name), r)
+
+
+@functools.lru_cache(maxsize=None)
+def _tile_descends(name: str) -> bool:
+    try:
+        _collared_system(name, 0)
+        return True
+    except NotWellDefined:
+        return False
+
+
+def descend_rule(scheme) -> Substitution2D:
+    """Quotient substitution on a scheme's (possibly collared) prototiles.
+
+    `scheme` is a scheme name or a custom tile-coarsening callable.  If the
+    rule descends tile-by-tile the prototiles are plain coarsened tiles;
+    for the named schemes where only the collared rule descends, the
+    prototiles are once-collared classes.  A coarsening to which the rule
+    does not descend at all raises NotWellDefined with a witness pair.
+    """
+    if callable(scheme):
+        sysd = _system_for_q(scheme, 0)
+    elif _tile_descends(scheme):
+        sysd = _collared_system(scheme, 0)
+    else:
+        sysd = _collared_system(scheme, 1)
+    if sysd["r"] == 0:
+        tiles = [win[0][0] for win in sysd["classes"]]
+        rule = {win[0][0]: {quad: child[0][0]
+                            for quad, child in sysd["smap"][win].items()}
+                for win in sysd["classes"]}
+        return Substitution2D(tiles, rule)
+    return Substitution2D(sysd["classes"], sysd["smap"])
+
+
+def legal_adjacencies(scheme, depth: int = 0):
+    """(hpairs, vpairs) of legal horizontally/vertically adjacent pairs.
+
+    For a scheme name, pairs of collared classes at the given depth; for a
+    Substitution2D, pairs of its own tiles from supertile enumeration.
+    """
+    if isinstance(scheme, Substitution2D):
+        hp = {(w[0][0], w[0][1]) for w in scheme.legal(2, 1)}
+        vp = {(w[0][0], w[1][0]) for w in scheme.legal(1, 2)}
+        return sorted(hp, key=repr), sorted(vp, key=repr)
+    sysd = _collared_system(scheme, depth)
+    return sysd["hpairs"], sysd["vpairs"]
+
+
+def border_forcing_check(scheme, max_power: int = 4):
+    """Smallest k <= max_power such that k-fold inflation of a prototile
+    determines the ring of tiles around its supertile, or None.
+
+    For a scheme name the check runs on the tile-level quotient rule; if
+    the rule only descends to collared prototiles the scheme cannot be
+    built uncollared and the check reports None.
+    """
+    if isinstance(scheme, Substitution2D):
+        sub = scheme
+    else:
+        if not _tile_descends(scheme):
+            return None
+        sub = descend_rule(scheme)
+    legal3 = sub.legal(3, 3)
+    for k in range(1, max_power + 1):
+        ok = True
+        for t in sub.tiles:
+            rings = set()
+            for win in legal3:
+                if win[1][1] != t:
+                    continue
+                patch = {(i, j): win[j][i] for j in range(3) for i in range(3)}
+                for _ in range(k):
+                    patch = sub.inflate(patch)
+                m = 2 ** k
+                lo, hi = m - 1, 2 * m
+                ring = tuple(sorted(((i, j), patch[(i, j)])
+                                    for i in range(lo, hi + 1)
+                                    for j in range(lo, hi + 1)
+                                    if i in (lo, hi) or j in (lo, hi)))
+                rings.add(ring)
+            if len(rings) > 1:
+                ok = False
+                break
+        if ok:
+            return k
+    return None
+
+
+class _DSU:
+    def __init__(self):
+        self.p = {}
+
+    def find(self, x):
+        p = self.p
+        if x not in p:
+            p[x] = x
+            return x
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def union(self, a, b):
+        self.p[self.find(a)] = self.find(b)
+
+
+# edge orientations: S/N edges run west->east, W/E edges run south->north;
+# 2-cells are oriented counterclockwise
+_EDGE_ENDS = {"S": ("SW", "SE"), "N": ("NW", "NE"),
+              "W": ("SW", "NW"), "E": ("SE", "NE")}
+_CORNER_QUAD = {"SW": Q_SW, "SE": Q_SE, "NW": Q_NW, "NE": Q_NE}
+
+
+def _cell_dsus(sysd):
+    """Edge and vertex identifications from adjacency and corner contacts."""
+    edsu, vdsu = _DSU(), _DSU()
+    for a, b in sysd["hpairs"]:
+        edsu.union((a, "E"), (b, "W"))
+        vdsu.union((a, "SE"), (b, "SW"))
+        vdsu.union((a, "NE"), (b, "NW"))
+    for a, b in sysd["vpairs"]:
+        edsu.union((a, "N"), (b, "S"))
+        vdsu.union((a, "NW"), (b, "SW"))
+        vdsu.union((a, "NE"), (b, "SE"))
+    for sw, se, nw, ne in sysd["blocks"]:
+        vdsu.union((sw, "NE"), (se, "NW"))
+        vdsu.union((sw, "NE"), (nw, "SE"))
+        vdsu.union((sw, "NE"), (ne, "SW"))
+    return edsu, vdsu
+
+
+@functools.lru_cache(maxsize=None)
+def _ap_complex_2d_depth(name: str, r: int):
+    sysd = _collared_system(name, r)
+    classes = sysd["classes"]
+    smap = sysd["smap"]
+    edsu, vdsu = _cell_dsus(sysd)
+    edges = sorted({edsu.find((c, s)) for c in classes for s in SIDES},
+                   key=repr)
+    verts = sorted({vdsu.find((c, k)) for c in classes for k in CORNERS},
+                   key=repr)
+    ei = {x: i for i, x in enumerate(edges)}
+    vi = {x: i for i, x in enumerate(verts)}
+    ci = {c: i for i, c in enumerate(classes)}
+
+    def eix(c, s):
+        return ei[edsu.find((c, s))]
+
+    def vix(c, k):
+        return vi[vdsu.find((c, k))]
+
+    d0 = [[0] * len(verts) for _ in range(len(edges))]
+    seen_d0 = {}
+    for c in classes:
+        for s, (tail, head) in _EDGE_ENDS.items():
+            col = (vix(c, head), vix(c, tail))
+            i = eix(c, s)
+            if seen_d0.setdefault(i, col) != col:
+                raise NotWellDefined(
+                    "edge endpoints differ between representatives",
+                    witness=(c, s))
+    for i, (h, t) in seen_d0.items():
+        d0[i][h] += 1
+        d0[i][t] -= 1
+    d1 = [[0] * len(edges) for _ in range(len(classes))]
+    for c in classes:
+        row = d1[ci[c]]
+        row[eix(c, "S")] += 1
+        row[eix(c, "E")] += 1
+        row[eix(c, "N")] -= 1
+        row[eix(c, "W")] -= 1
+    cx = CochainComplex(
+        [verts, edges, classes],
+        [IntMatrix.from_rows(d0), IntMatrix.from_rows(d1)])
+
+    a2 = [[0] * len(classes) for _ in range(len(classes))]
+    for c in classes:
+        for child in smap[c].values():
+            a2[ci[child]][ci[c]] += 1
+    child_edges = {"S": ((Q_SW, "S"), (Q_SE, "S")),
+                   "N": ((Q_NW, "N"), (Q_NE, "N")),
+                   "W": ((Q_SW, "W"), (Q_NW, "W")),
+                   "E": ((Q_SE, "E"), (Q_NE, "E"))}
+    a1 = [[0] * len(edges) for _ in range(len(edges))]
+    seen1 = {}
+    for c in classes:
+        blk = smap[c]
+        for s, parts in child_edges.items():
+            img = tuple(sorted(eix(blk[quad], ss) for quad, ss in parts))
+            i = eix(c, s)
+            if seen1.setdefault(i, img) != img:
+                raise NotWellDefined(
+                    "substitution image of an edge differs between "
+                    "representatives", witness=(c, s))
+    for i, img in seen1.items():
+        for j in img:
+            a1[j][i] += 1
+    a0 = [[0] * len(verts) for _ in range(len(verts))]
+    seen0 = {}
+    for c in classes:
+        blk = smap[c]
+        for k, quad in _CORNER_QUAD.items():
+            img = vix(blk[quad], k)
+            i = vix(c, k)
+            if seen0.setdefault(i, img) != img:
+                raise NotWellDefined(
+                    "substitution image of a vertex differs between "
+                    "representatives", witness=(c, k))
+    for i, img in seen0.items():
+        a0[img][i] = 1
+    self_map = CellularMap(cx, cx, [IntMatrix.from_rows(a0),
+                                    IntMatrix.from_rows(a1),
+                                    IntMatrix.from_rows(a2)])
+    return cx, self_map
+
+
+def _tile_coarsening(fine: str, coarse: str):
+    qf, qc = decorate(fine), decorate(coarse)
+    out = {}
+    for t in MASTER_TILES:
+        ft, ct = qf(t), qc(t)
+        if out.setdefault(ft, ct) != ct:
+            raise NotWellDefined(
+                f"coarsening {fine} -> {coarse} not determined by fine tiles",
+                witness=t)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def factor_map_edge(fine: str, coarse: str, collar: str = "forced"):
+    """Cellular factor map between the complexes of two adjacent schemes."""
+    edge_type(fine, coarse)
+    r = max(collar_depth(fine, collar), collar_depth(coarse, collar))
+    fcx, _ = _ap_complex_2d_depth(fine, r)
+    ccx, _ = _ap_complex_2d_depth(coarse, r)
+    tmap = _tile_coarsening(fine, coarse)
+
+    def cmap(win):
+        return tuple(tuple(tmap[t] for t in row) for row in win)
+
+    fci = {c: i for i, c in enumerate(fcx.cells[2])}
+    cci = {c: i for i, c in enumerate(ccx.cells[2])}
+    m2 = [[0] * len(fcx.cells[2]) for _ in range(len(ccx.cells[2]))]
+    for c in fcx.cells[2]:
+        m2[cci[cmap(c)]][fci[c]] = 1
+    # edges/vertices: the identified-cell image must not depend on the
+    # representative (class, side/corner) pair
+    fe, fv = _cell_lookups(fcx, _collared_system(fine, r))
+    ce, cv = _cell_lookups(ccx, _collared_system(coarse, r))
+    m1 = [[0] * len(fcx.cells[1]) for _ in range(len(ccx.cells[1]))]
+    seen1 = {}
+    for c in fcx.cells[2]:
+        for s in SIDES:
+            i, j = fe[(c, s)], ce[(cmap(c), s)]
+            if seen1.setdefault(i, j) != j:
+                raise NotWellDefined(
+                    "edge image differs between representatives",
+                    witness=(c, s))
+    for i, j in seen1.items():
+        m1[j][i] = 1
+    m0 = [[0] * len(fcx.cells[0]) for _ in range(len(ccx.cells[0]))]
+    seen0 = {}
+    for c in fcx.cells[2]:
+        for k in CORNERS:
+            i, j = fv[(c, k)], cv[(cmap(c), k)]
+            if seen0.setdefault(i, j) != j:
+                raise NotWellDefined(
+                    "vertex image differs between representatives",
+                    witness=(c, k))
+    for i, j in seen0.items():
+        m0[j][i] = 1
+    return CellularMap(fcx, ccx, [IntMatrix.from_rows(m0),
+                                  IntMatrix.from_rows(m1),
+                                  IntMatrix.from_rows(m2)])
+
+
+def _cell_lookups(cx, sysd):
+    """(edge index, vertex index) lookups keyed by (class, side/corner)."""
+    edsu, vdsu = _cell_dsus(sysd)
+    ei = {x: i for i, x in enumerate(cx.cells[1])}
+    vi = {x: i for i, x in enumerate(cx.cells[0])}
+    fe = {(c, s): ei[edsu.find((c, s))]
+          for c in cx.cells[2] for s in SIDES}
+    fv = {(c, k): vi[vdsu.find((c, k))]
+          for c in cx.cells[2] for k in CORNERS}
+    return fe, fv

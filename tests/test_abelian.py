@@ -64,6 +64,31 @@ class TestSnf:
         assert rank(a) == len(snf(a).invariant_factors)
 
 
+class TestFromEntries:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 5), st.data())
+    def test_matches_dense(self, m, n, data):
+        cells = [(i, j) for i in range(m) for j in range(n)]
+        entries = data.draw(st.dictionaries(
+            st.sampled_from(cells), st.integers(-9, 9))) if cells else {}
+        dense = [[entries.get((i, j), 0) for j in range(n)]
+                 for i in range(m)]
+        a = IntMatrix.from_entries(m, n, entries)
+        assert (a.rows, a.cols) == (m, n)
+        assert a.to_rows() == dense
+        assert a == (M(dense) if m else IntMatrix.zeros(0, n))
+
+    @pytest.mark.parametrize("value", [1.0, "1", None])
+    def test_rejects_non_int(self, value):
+        with pytest.raises(TypeError):
+            IntMatrix.from_entries(2, 2, {(0, 1): value})
+
+    @pytest.mark.parametrize("at", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_rejects_outside_shape(self, at):
+        with pytest.raises(IndexError):
+            IntMatrix.from_entries(2, 2, {at: 1})
+
+
 class TestLattices:
     def test_kernel_1x2(self):
         kb = kernel_basis(M([[1, 1]]))

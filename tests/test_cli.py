@@ -91,6 +91,35 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "1d", "--grid", "2,x")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("scope", ["1d", "2d", "all"])
+    def test_collar_rejected(self, capsys, scope):
+        # verify's collars are fixed by the golden table; the flag used to
+        # be accepted and ignored
+        code, out, err = run(capsys, "verify", scope, "--collar", "off")
+        assert code == 2 and not out and "--collar" in err
+
+
+class TestCollar:
+    @pytest.mark.parametrize("argv", [
+        ("space", "tm:2,1", "--collar", "off"),
+        ("space", "sol:3", "--collar", "on"),
+        ("quotient", "tm:2,1", "pd:2,1", "--collar", "on"),
+        ("dump", "tm:2,1", "--collar", "off"),
+    ])
+    def test_on_off_for_1d_space_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "chair:* spaces" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("space", "tm:2,1"),
+        ("space", "tm:2,1", "--collar", "auto"),
+        ("quotient", "tm:2,1", "pd:2,1", "--collar", "auto"),
+        ("dump", "tm:2,1", "--collar", "auto"),
+    ])
+    def test_auto_for_1d_space_runs(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+
 
 class TestMisc:
     def test_dump(self, capsys):
