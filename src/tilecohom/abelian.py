@@ -9,32 +9,41 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import compress
 
 from .errors import NotWellDefined
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major."""
+    """Immutable integer matrix stored as sparse rows.
 
-    __slots__ = ("rows", "cols", "_r")
+    `_r` holds one `{column: value}` dict per row with the nonzero entries
+    only.  No stored row holds a zero, and no row is mutated once the
+    matrix is built, so rows may be shared between matrices; code that
+    eliminates on a row copies it first.  Equal matrices hash equal
+    whatever the key order of their rows.
+    """
+
+    __slots__ = ("rows", "cols", "_r", "_hash")
 
     def __init__(self, rows, cols, entries):
-        entries = [int(x) for x in entries]
+        entries = [operator.index(x) for x in entries]
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         self.rows = rows
         self.cols = cols
-        self._r = tuple(tuple(entries[i * cols:(i + 1) * cols]) for i in range(rows))
+        self._r = tuple({j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols])
+                         if x} for i in range(rows))
+        self._hash = None
 
     @classmethod
     def _of_rows(cls, rows, cols, r):
-        """Trusted constructor: `r` is a tuple of `rows` tuples of `cols`
-        Python ints, built inside this module."""
+        """Trusted constructor: `r` is a tuple of `rows` dicts with nonzero
+        int values at columns 0..cols-1, built inside this module."""
         self = object.__new__(cls)
         self.rows = rows
         self.cols = cols
         self._r = r
+        self._hash = None
         return self
 
     @classmethod
@@ -44,61 +53,72 @@ class IntMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        flat = [x for r in rows for x in r]
-        return cls(len(rows), ncols, flat)
+        return cls._of_rows(len(rows), ncols, tuple(
+            {j: x for j, x in enumerate(map(operator.index, r)) if x} for r in rows))
 
     @classmethod
     def from_entries(cls, rows, cols, entries):
         """rows x cols matrix from sparse `{(i, j): value}` entries, zero
         elsewhere; every value must be an int (`operator.index`)."""
-        out = [[0] * cols for _ in range(rows)]
+        out = [{} for _ in range(rows)]
         for (i, j), v in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i}, {j}) outside {rows}x{cols}")
-            out[i][j] = operator.index(v)
-        return cls._of_rows(rows, cols, tuple(map(tuple, out)))
+            v = operator.index(v)
+            if v:
+                out[i][j] = v
+        return cls._of_rows(rows, cols, tuple(out))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls._of_rows(rows, cols, ((0,) * cols,) * rows)
+        return cls._of_rows(rows, cols, ({},) * rows)
 
     @classmethod
     def identity(cls, n):
-        return cls._of_rows(n, n, tuple(tuple(int(i == j) for j in range(n))
-                                        for i in range(n)))
+        return cls._of_rows(n, n, tuple({i: 1} for i in range(n)))
 
     @classmethod
     def diagonal(cls, diag, rows=None, cols=None):
         diag = list(diag)
         rows = len(diag) if rows is None else rows
         cols = len(diag) if cols is None else cols
-        m = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(diag):
-            if i < rows and i < cols:
-                m[i][i] = d
-        return cls.from_rows(m)
+        entries = {(i, i): d for i, d in enumerate(diag) if i < rows and i < cols}
+        return cls.from_entries(rows, cols, entries)
+
+    @property
+    def sparse_rows(self):
+        """The `{column: nonzero value}` dict of each row; read only."""
+        return self._r
 
     def entry(self, i, j):
-        return self._r[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside {self.rows}x{self.cols}")
+        return self._r[i].get(j, 0)
 
     def row(self, i):
-        return list(self._r[i])
+        r = self._r[i]
+        return [r.get(j, 0) for j in range(self.cols)]
 
     def col(self, j):
-        return [r[j] for r in self._r]
+        return [self.entry(i, j) for i in range(self.rows)]
 
     def to_rows(self):
-        return [list(r) for r in self._r]
+        return [self.row(i) for i in range(self.rows)]
 
     def transpose(self):
-        return IntMatrix._of_rows(self.cols, self.rows, tuple(zip(*self._r))
-                                  if self.rows else ((),) * self.cols)
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._r):
+            for j, x in r.items():
+                out[j][i] = x
+        return IntMatrix._of_rows(self.cols, self.rows, tuple(out))
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch")
-        return IntMatrix._of_rows(self.rows, self.cols + other.cols,
-                                  tuple(a + b for a, b in zip(self._r, other._r)))
+        c = self.cols
+        return IntMatrix._of_rows(self.rows, c + other.cols, tuple(
+            {**a, **{j + c: x for j, x in b.items()}} if b else a
+            for a, b in zip(self._r, other._r)))
 
     def vstack(self, other):
         if self.cols != other.cols:
@@ -108,43 +128,58 @@ class IntMatrix:
 
     def submatrix(self, row_idx, col_idx):
         col_idx = list(col_idx)
-        return IntMatrix._of_rows(len(row_idx), len(col_idx),
-                                  tuple(tuple(self._r[i][j] for j in col_idx)
-                                        for i in row_idx))
+        if not all(0 <= j < self.cols for j in col_idx):
+            raise IndexError(f"column outside {self.rows}x{self.cols}")
+        out = tuple({k: r[j] for k, j in enumerate(col_idx) if j in r}
+                    for r in map(self._r.__getitem__, row_idx))
+        return IntMatrix._of_rows(len(out), len(col_idx), out)
 
     def select_columns(self, col_idx):
         return self.submatrix(range(self.rows), col_idx)
 
     def __mul__(self, other):
-        """Product that visits only the nonzeros of both factors; the
-        coboundaries and cellular maps multiplied here are mostly zero."""
+        """Product over the nonzeros of both factors.  A row of self with
+        one entry 1 shares the matching row of other."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        p = other.cols
-        pidx = range(p)
-        bnz = [[(j, br[j]) for j in compress(pidx, br)] for br in other._r]
-        kidx = range(self.cols)
+        b = other._r
         out = []
         for arow in self._r:
-            acc = [0] * p
-            for k in compress(kidx, arow):
-                x = arow[k]
-                for j, y in bnz[k]:
-                    acc[j] += x * y
-            out.append(tuple(acc))
-        return IntMatrix._of_rows(self.rows, p, tuple(out))
+            if len(arow) > 1:
+                acc = {}
+                get = acc.get
+                for k, x in arow.items():
+                    for j, y in b[k].items():
+                        acc[j] = get(j, 0) + x * y
+                if 0 in acc.values():
+                    acc = {j: y for j, y in acc.items() if y}
+            elif arow:
+                (k, x), = arow.items()
+                acc = b[k] if x == 1 else {j: x * y for j, y in b[k].items()}
+            else:
+                acc = arow
+            out.append(acc)
+        return IntMatrix._of_rows(self.rows, other.cols, tuple(out))
 
     def scale(self, c):
-        return IntMatrix(self.rows, self.cols, [c * x for r in self._r for x in r])
+        c = operator.index(c)
+        if not c:
+            return IntMatrix.zeros(self.rows, self.cols)
+        return IntMatrix._of_rows(self.rows, self.cols, tuple(
+            {j: c * x for j, x in r.items()} for r in self._r))
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return IntMatrix._of_rows(self.rows, self.cols,
-                                  tuple(tuple(a + b for a, b in zip(ra, rb))
-                                        for ra, rb in zip(self._r, other._r)))
+        out = []
+        for a, b in zip(self._r, other._r):
+            if b:
+                a = dict(a)
+                _axpy(a, b, 1)
+            out.append(a)
+        return IntMatrix._of_rows(self.rows, self.cols, tuple(out))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -153,14 +188,17 @@ class IntMatrix:
         return self.scale(-1)
 
     def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self._r == other._r \
-            and self.rows == other.rows and self.cols == other.cols
+        return isinstance(other, IntMatrix) and self.rows == other.rows \
+            and self.cols == other.cols and self._r == other._r
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._r))
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols,
+                               tuple(frozenset(r.items()) for r in self._r)))
+        return self._hash
 
     def is_zero(self):
-        return all(x == 0 for r in self._r for x in r)
+        return not any(self._r)
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -195,40 +233,21 @@ def _axpy(dst, src, c):
             del dst[k]
 
 
-def _dense_rows(vectors, width):
-    """Tuple rows of a matrix given its rows as sparse vectors."""
-    out = []
-    for vec in vectors:
-        row = [0] * width
-        for k, x in vec.items():
-            row[k] = x
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _dense_cols(vectors, height):
-    """Tuple rows of a matrix given its columns as sparse vectors."""
-    rows = [[0] * len(vectors) for _ in range(height)]
-    for j, vec in enumerate(vectors):
-        for k, x in vec.items():
-            rows[k][j] = x
-    return tuple(tuple(r) for r in rows)
-
-
 @functools.lru_cache(maxsize=128)
 def snf(A: IntMatrix) -> SnfResult:
     """Smith normal form with deterministic pivoting.
 
     Pivot: smallest nonzero absolute value in the working submatrix, ties
     broken by lexicographically smallest (row, col).  The elimination is
-    sparse: rows of A, U and V^-1 and columns of V and U^-1 are held as
-    {index: value} dicts, so each step touches only nonzeros.  Rows at or
-    below step t have no entries left of column t, so the working
+    sparse: copies of A's rows, rows of U and V^-1 and columns of V and
+    U^-1 are {index: value} dicts, so each step touches only nonzeros, and
+    they become the results' rows (V and U^-1 by a transpose).  Rows at
+    or below step t have no entries left of column t, so the working
     submatrix is just rows t.. of `a`.  Results are memoized; the same
     relation and cocycle matrices are decomposed many times over.
     """
     m, n = A.rows, A.cols
-    a = [{j: x for j, x in enumerate(r) if x} for r in A._r]   # rows of A
+    a = [dict(r) for r in A._r]         # rows of A
     u = [{i: 1} for i in range(m)]      # rows of U
     ui = [{i: 1} for i in range(m)]     # columns of U^-1
     v = [{j: 1} for j in range(n)]      # columns of V
@@ -305,11 +324,11 @@ def snf(A: IntMatrix) -> SnfResult:
                 continue
         t += 1
     inv = [a[i][i] for i in range(t)]
-    return SnfResult(IntMatrix._of_rows(m, m, _dense_rows(u, m)),
-                     IntMatrix._of_rows(m, n, _dense_rows(a, n)),
-                     IntMatrix._of_rows(n, n, _dense_cols(v, n)), inv,
-                     IntMatrix._of_rows(m, m, _dense_cols(ui, m)),
-                     IntMatrix._of_rows(n, n, _dense_rows(vi, n)))
+    return SnfResult(IntMatrix._of_rows(m, m, tuple(u)),
+                     IntMatrix._of_rows(m, n, tuple(a)),
+                     IntMatrix._of_rows(n, n, tuple(v)).transpose(), inv,
+                     IntMatrix._of_rows(m, m, tuple(ui)).transpose(),
+                     IntMatrix._of_rows(n, n, tuple(vi)))
 
 
 def rank(A: IntMatrix) -> int:
@@ -326,12 +345,9 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
 def lattice_basis(A: IntMatrix) -> IntMatrix:
     """Basis (columns) of the column lattice of A itself."""
     s = snf(A)
-    cols = []
-    for i in range(s.rank):
-        d = s.D.entry(i, i)
-        cols.append([d * x for x in s.Uinv.col(i)])
-    return IntMatrix.from_rows([list(r) for r in zip(*cols)]) if cols \
-        else IntMatrix.zeros(A.rows, 0)
+    inv, r = s.invariant_factors, s.rank
+    return IntMatrix._of_rows(A.rows, r, tuple(
+        {j: inv[j] * x for j, x in row.items() if j < r} for row in s.Uinv._r))
 
 
 def solve(A: IntMatrix, b) -> list | None:
@@ -350,16 +366,16 @@ def solve_matrix(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
     s = snf(A)
     y = (s.U * B)._r
     r = s.rank
-    if any(any(row) for row in y[r:]):
+    if any(y[r:]):
         return None
     z = []
     for row, d in zip(y, s.invariant_factors):
         if d != 1:
-            if any(x % d for x in row):
+            if any(x % d for x in row.values()):
                 return None
-            row = tuple(x // d for x in row)
+            row = {j: x // d for j, x in row.items()}
         z.append(row)
-    z.extend([(0,) * B.cols] * (A.cols - r))
+    z.extend([{}] * (A.cols - r))
     return s.V * IntMatrix._of_rows(A.cols, B.cols, tuple(z))
 
 
@@ -396,7 +412,7 @@ def is_primitive_matrix(A: IntMatrix) -> bool:
     """
     n = A.rows
     full = (1 << n) - 1
-    succ = [sum(1 << j for j, x in enumerate(r) if x > 0) for r in A._r]
+    succ = [sum(1 << j for j, x in r.items() if x > 0) for r in A._r]
     reach, seen = succ, set()
     for _ in range((n - 1) ** 2):
         if all(r == full for r in reach):
@@ -438,10 +454,7 @@ class FgAbGroup:
         if self.rel.rows != ngens:
             raise ValueError("relation matrix has wrong height")
         s = snf(self.rel)
-        inv = []
-        for i in range(ngens):
-            d = s.D.entry(i, i) if i < min(self.rel.rows, self.rel.cols) else 0
-            inv.append(abs(d))
+        inv = s.invariant_factors + [0] * (ngens - s.rank)
         self.invariants = inv
         self.U = s.U
         self.Uinv = s.Uinv
@@ -501,8 +514,8 @@ class GroupHom:
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
-        if other.codomain is not self.domain and \
-                other.codomain.signature() != self.domain.signature():
+        a, b = other.codomain, self.domain
+        if a is not b and (a.ngens != b.ngens or a.rel != b.rel):
             raise ValueError("composition domain mismatch")
         return GroupHom(other.domain, self.codomain, self.matrix * other.matrix,
                         check=False)

@@ -84,11 +84,11 @@ def _collar(args, *names) -> str:
 
 
 def _parse_grid(text):
+    items = [pair.split(",") for pair in text.split(";") if pair]
     try:
-        return tuple(tuple(int(x) for x in pair.split(","))
-                     for pair in text.split(";") if pair)
-    except ValueError:
-        raise InvalidPath(f"cannot parse grid {text!r}")
+        return tuple((int(k), int(l)) for k, l in items)
+    except ValueError:   # not an int, or not a pair
+        raise InvalidPath(f"cannot parse grid {text!r}: expected k1,l1;k2,l2")
 
 
 def _emit(args, doc, text_lines):

@@ -90,8 +90,7 @@ def _reduce(c: CochainComplex):
     if c._reduced is not None:
         return c._reduced
     dim = c.dimension
-    rows = [{b: {a: x for a, x in enumerate(r) if x}
-             for b, r in enumerate(d.to_rows())} for d in c.delta]
+    rows = [dict(enumerate(map(dict, d.sparse_rows))) for d in c.delta]
     cols = [{a: set() for a in range(d.cols)} for d in c.delta]
     for rk, ck in zip(rows, cols):
         for b, r in rk.items():
@@ -144,21 +143,15 @@ def _reduce(c: CochainComplex):
                 del pi[k][a], iota[k + 1][b]
     keep = [sorted(p) for p in pi]
     pos = [{x: i for i, x in enumerate(kp)} for kp in keep]
-
-    def dense(vectors, width, index):
-        out = [[0] * width for _ in vectors]
-        for r, vec in zip(out, vectors):
-            for x, v in vec.items():
-                r[index[x]] = v
-        return IntMatrix.from_rows(out) if out else IntMatrix.zeros(0, width)
-
-    deltas = [dense([rows[k][b] for b in keep[k + 1]], len(keep[k]), pos[k])
-              for k in range(dim)]
-    n = [range(c.n_cells(k)) for k in range(dim + 1)]
-    iotas = [dense([iota[k][j] for j in kp], len(n[k]), n[k]).transpose()
-             for k, kp in enumerate(keep)]
-    pis = [dense([pi[k][i] for i in kp], len(n[k]), n[k])
-           for k, kp in enumerate(keep)]
+    deltas = [IntMatrix.from_entries(len(keep[k + 1]), len(keep[k]), {
+        (i, pos[k][a]): x for i, b in enumerate(keep[k + 1])
+        for a, x in rows[k][b].items()}) for k in range(dim)]
+    iotas = [IntMatrix.from_entries(c.n_cells(k), len(kp), {
+        (x, i): v for i, j in enumerate(kp) for x, v in iota[k][j].items()})
+        for k, kp in enumerate(keep)]
+    pis = [IntMatrix.from_entries(len(kp), c.n_cells(k), {
+        (i, x): v for i, j in enumerate(kp) for x, v in pi[k][j].items()})
+        for k, kp in enumerate(keep)]
     red = CochainComplex([[c.cells[k][i] for i in kp]
                           for k, kp in enumerate(keep)], deltas)
     c._reduced = (red, iotas, pis)
@@ -190,16 +183,10 @@ def cohomology(c: CochainComplex, k: int) -> FgAbGroup:
     keep = [i for i, d in enumerate(big.invariants) if d != 1]
     from_min = big.Uinv.select_columns(keep)
     nk = len(keep)
-    torsion_cols = []
-    for idx, ki in enumerate(keep):
-        d = big.invariants[ki]
-        if d > 1:
-            col = [0] * nk
-            col[idx] = d
-            torsion_cols.append(col)
-    minrel = IntMatrix.from_rows(
-        [[col[i] for col in torsion_cols] for i in range(nk)]) \
-        if torsion_cols else IntMatrix.zeros(nk, 0)
+    torsion = [(i, big.invariants[ki]) for i, ki in enumerate(keep)
+               if big.invariants[ki] > 1]
+    minrel = IntMatrix.from_entries(
+        nk, len(torsion), {(i, j): d for j, (i, d) in enumerate(torsion)})
     lift = kb * from_min
     h = FgAbGroup(nk, minrel, ambient_lift=iota[k] * lift,
                   ambient_cob=c.coboundary(k - 1))
@@ -256,14 +243,15 @@ class CellularMap:
         """assignment[k]: dict source-cell -> list of (sign, target-cell)."""
         chain = []
         for k in range(source.dimension + 1):
-            m = [[0] * source.n_cells(k) for _ in range(target.n_cells(k))]
+            m = {}
             amap = assignment[k] if k < len(assignment) else {}
             for cell, images in amap.items():
                 j = source.cell_index(k, cell)
                 for sign, tcell in images:
-                    m[target.cell_index(k, tcell)][j] += sign
-            chain.append(IntMatrix.from_rows(m) if m else
-                         IntMatrix.zeros(0, source.n_cells(k)))
+                    at = (target.cell_index(k, tcell), j)
+                    m[at] = m.get(at, 0) + sign
+            chain.append(IntMatrix.from_entries(
+                target.n_cells(k), source.n_cells(k), m))
         return cls(source, target, chain)
 
     @classmethod
@@ -297,11 +285,10 @@ def _disjoint_columns(p: IntMatrix) -> bool:
     """Do the columns of p have disjoint nonempty supports?  Then p is
     injective, as is the pullback of a map sending each cell to one cell."""
     hit = set()
-    for row in p.to_rows():
-        nz = [j for j, v in enumerate(row) if v]
-        if len(nz) > 1:
+    for row in p.sparse_rows:
+        if len(row) > 1:
             return False
-        hit.update(nz)
+        hit.update(row)
     return len(hit) == p.cols
 
 
@@ -351,8 +338,8 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
     for k, p in enumerate(pb):
         # each source cell covers at most one target cell, with sign +-1
         cover, rep = [], {}
-        for i, row in enumerate(p.to_rows()):
-            nz = [(j, v) for j, v in enumerate(row) if v]
+        for i, row in enumerate(p.sparse_rows):
+            nz = list(row.items())
             if len(nz) > 1:
                 raise NotWellDefined(
                     f"degree-{k} cell covers more than one target cell",
@@ -398,13 +385,13 @@ def _pullback_preimage(p: IntMatrix, pt: IntMatrix, b: IntMatrix):
     """X with p X = b, or None, for a pullback p = pt^T whose columns have
     disjoint supports of +-1 entries (quotient_complex checks this): then
     p^T p is diagonal and X = (p^T p)^-1 p^T b exactly when b is in range."""
-    xs = []
-    for norm, row in zip((sum(v * v for v in r) for r in pt.to_rows()),
-                         (pt * b).to_rows()):
-        if any(v % norm for v in row):
+    xs = {}
+    for i, (r, row) in enumerate(zip(pt.sparse_rows, (pt * b).sparse_rows)):
+        norm = sum(v * v for v in r.values())
+        if any(v % norm for v in row.values()):
             return None
-        xs.append([v // norm for v in row])
-    x = IntMatrix.from_rows(xs) if xs else IntMatrix.zeros(0, b.cols)
+        xs.update(((i, j), v // norm) for j, v in row.items())
+    x = IntMatrix.from_entries(pt.rows, b.cols, xs)
     return x if p * x == b else None
 
 

@@ -293,8 +293,7 @@ def _blocks_split(blocks) -> bool:
     w = sympy.Matrix(stacked.to_rows())
     # work inside the saturation: generators of the discrepancy group are
     # the canonical coordinates with invariant factor > 1
-    sat = sympy.Matrix(
-        [[s.Uinv.entry(i, j) for j in range(s.rank)] for i in range(s.Uinv.rows)])
+    sat = sympy.Matrix(s.Uinv.select_columns(range(s.rank)).to_rows())
     for i, d in enumerate(s.invariant_factors):
         d = abs(d)
         if d <= 1:

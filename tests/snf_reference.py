@@ -16,7 +16,7 @@ def _apply(M, vec):
     if len(vec) != M.cols:
         raise ValueError("vector length mismatch")
     out = []
-    for r in M._r:
+    for r in M.to_rows():
         s = 0
         for x, v in zip(r, vec):
             if x:

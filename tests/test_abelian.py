@@ -89,6 +89,28 @@ class TestFromEntries:
             IntMatrix.from_entries(2, 2, {at: 1})
 
 
+class TestIntegerEntries:
+    # int() used to truncate floats and parse strings: [[1.5, 2.7]] became
+    # [[1, 2]] and '7' became 7
+    @pytest.mark.parametrize("build", [
+        lambda: IntMatrix(1, 2, [1.5, 2.7]),
+        lambda: IntMatrix(1, 1, ["7"]),
+        lambda: IntMatrix.from_rows([[1.5, 2.7]]),
+        lambda: IntMatrix.from_rows([[0.0, 1]]),
+        lambda: IntMatrix.from_rows([["7"]]),
+        lambda: IntMatrix.identity(2).scale(0.5),
+        lambda: IntMatrix.identity(2).scale(2.0),
+    ], ids=["init-float", "init-str", "rows-float", "rows-zero-float",
+            "rows-str", "scale-half", "scale-float"])
+    def test_rejects_non_int(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_accepts_int_like(self):
+        assert IntMatrix(1, 2, [True, 3]).to_rows() == [[1, 3]]
+        assert IntMatrix.identity(2).scale(0) == IntMatrix.zeros(2, 2)
+
+
 class TestLattices:
     def test_kernel_1x2(self):
         kb = kernel_basis(M([[1, 1]]))
@@ -174,6 +196,24 @@ class TestGroups:
         f = GroupHom(z, z, M([[1, 1], [0, 1]]))
         g = GroupHom(z, z, M([[2, 0], [0, 2]]))
         assert g.compose(f).matrix == g.matrix * f.matrix
+
+    def test_compose_needs_same_presentation(self):
+        # equal signatures are not enough: Z^2/<(2,0)> and Z^2/<(0,2)> are
+        # both Z + Z_2, yet I: Z^2/<(2,0)> -> Z^2/<(0,2)> is not well defined
+        a = FgAbGroup(2, M([[2], [0]]))
+        b = FgAbGroup(2, M([[0], [2]]))
+        assert a.signature() == b.signature()
+        with pytest.raises(ValueError):
+            GroupHom(b, b, IntMatrix.identity(2)).compose(
+                GroupHom(a, a, IntMatrix.identity(2)))
+
+    def test_compose_equal_presentations(self):
+        a = FgAbGroup(2, M([[2], [0]]))
+        a2 = FgAbGroup(2, M([[2], [0]]))
+        g = GroupHom(a2, a2, M([[1, 0], [0, 3]])).compose(
+            GroupHom(a, a, M([[1, 1], [0, 1]])))
+        assert g.domain is a and g.codomain is a2
+        assert g.matrix == M([[1, 1], [0, 3]])
 
     def test_kernel_gens(self):
         z = FgAbGroup.free(1)

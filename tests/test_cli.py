@@ -91,6 +91,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "1d", "--grid", "2,x")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("grid", ["5", "1,2,3", "2,1;3", "2,1;1,2,3"])
+    def test_grid_item_not_a_pair(self, capsys, grid):
+        # these used to end in an uncaught ValueError from the unpacking
+        code, out, err = run(capsys, "verify", "1d", "--grid", grid)
+        assert code == 2 and not out and "grid" in err
+
     @pytest.mark.parametrize("scope", ["1d", "2d", "all"])
     def test_collar_rejected(self, capsys, scope):
         # verify's collars are fixed by the golden table; the flag used to

@@ -97,6 +97,15 @@ class TestCellularMap:
         with pytest.raises(NotInjectiveOnCochains):
             pullback(z, require_injective=True)
 
+    def test_pullback_injectivity_check_two_cell_image(self):
+        # the edge goes to a + b: the pullback [[1, 1]] covers both target
+        # edges from one row, so it is not injective
+        c = circle()
+        w = CochainComplex([["v"], ["a", "b"]], [IntMatrix.zeros(2, 1)])
+        f = CellularMap(c, w, [M([[1]]), M([[1], [1]])])
+        with pytest.raises(NotInjectiveOnCochains):
+            pullback(f, require_injective=True)
+
     def test_hom_on_cohomology_rejects_noncocycle_image(self):
         # target: interval (H^1 = 0, nonzero delta)
         interval = CochainComplex([["p", "q"], ["e"]], [M([[-1, 1]])])
