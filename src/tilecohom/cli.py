@@ -14,6 +14,7 @@ import sys
 import time
 
 from . import catalog, subst1d, subst2d
+from .abelian import IntMatrix
 from .errors import InvalidPath, TilingCohomologyError
 
 
@@ -86,9 +87,12 @@ def _collar(args, *names) -> str:
 def _parse_grid(text):
     items = [pair.split(",") for pair in text.split(";") if pair]
     try:
-        return tuple((int(k), int(l)) for k, l in items)
+        grid = tuple((int(k), int(l)) for k, l in items)
     except ValueError:   # not an int, or not a pair
         raise InvalidPath(f"cannot parse grid {text!r}: expected k1,l1;k2,l2")
+    if not grid:   # a verify that checks nothing must not read as a pass
+        raise InvalidPath(f"grid {text!r} has no k,l pair")
+    return grid
 
 
 def _emit(args, doc, text_lines):
@@ -143,7 +147,7 @@ def _run_path(args):
 
 
 def _run_verify(args):
-    grid = _parse_grid(args.grid) if args.grid else None
+    grid = _parse_grid(args.grid) if args.grid is not None else None
     t0 = time.monotonic()
     report = catalog.verify_all(args.scope, grid)
     ms = int((time.monotonic() - t0) * 1000)
@@ -181,6 +185,24 @@ def _run_dump(args):
     return 0
 
 
+def _error(args, e, code):
+    """Report a failed run: the message with the witness or node the typed
+    error carries, and with --json the same as a document on stdout."""
+    witness, node = getattr(e, "witness", None), getattr(e, "node", None)
+    extra = "".join(f"; {key}: {val!r}" for key, val
+                    in (("witness", witness), ("node", node)) if val is not None)
+    print(f"error: {e}{extra}", file=sys.stderr)
+    if args.json:
+        print(json.dumps({"error": type(e).__name__, "message": str(e),
+                          "witness": witness, "node": node},
+                         indent=2, sort_keys=True, default=_jsonable))
+    return code
+
+
+def _jsonable(x):
+    return x.to_rows() if isinstance(x, IntMatrix) else repr(x)
+
+
 _VERBS = {"space": _run_space, "quotient": _run_quotient, "path": _run_path,
           "verify": _run_verify, "dump": _run_dump}
 
@@ -205,11 +227,9 @@ def main(argv=None) -> int:
     try:
         return _VERBS[args.verb](args)
     except InvalidPath as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _error(args, e, 2)
     except (TilingCohomologyError, TimeoutError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _error(args, e, 1)
     finally:
         if args.timeout_sec:
             signal.alarm(0)

@@ -21,9 +21,14 @@ def radical(n: int) -> int:
     if n <= 1:
         return n
     out = 1
-    for p in sympy.factorint(n):
-        out *= p
-    return out
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out *= p
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    return out * n if n > 1 else out
 
 
 class GroupExpr:
@@ -131,8 +136,8 @@ class TowerGroup:
     __slots__ = ("group", "endo")
 
     def __init__(self, group: FgAbGroup, endo: GroupHom):
-        if endo.domain is not group or endo.codomain is not group:
-            if endo.domain.signature() != group.signature():
+        for side in (endo.domain, endo.codomain):
+            if side is not group and side.signature() != group.signature():
                 raise ValueError("endo is not a self-map of the tower group")
         self.group = group
         self.endo = endo
@@ -201,25 +206,65 @@ def _canonical_blocks(g: FgAbGroup, s: IntMatrix):
     return [g.invariants[i] for i in tor_idx], b_tt, b_tf, b_ff
 
 
+def _charpoly(rows):
+    """Coefficients of det(xI - B), leading 1 first, for a square int matrix
+    given as rows: division-free Berkowitz (Berkowitz, IPL 18, 1984).
+
+    Adding row and column r to the leading r-square block A multiplies the
+    polynomial by the lower-triangular Toeplitz matrix whose first column is
+    1, -a, -R C, -R A C, ..., -R A^(r-1) C (a the new diagonal entry, R and
+    C the new row and column restricted to A).
+    """
+    poly = [1]
+    for r, row in enumerate(rows):
+        col = [1, -row[r]]
+        v = [rows[i][r] for i in range(r)]
+        for _ in range(r):
+            col.append(-sum(x * y for x, y in zip(row, v)))
+            v = [sum(x * y for x, y in zip(rows[i], v)) for i in range(r)]
+        poly = [sum(col[i - j] * poly[j] for j in range(min(i, r) + 1))
+                for i in range(r + 2)]
+    return poly
+
+
 def _integer_eigenvalues(b_ff: IntMatrix):
     """(eigenvalue, multiplicity) pairs, or None if the charpoly has an
     irrational factor."""
-    m = sympy.Matrix(b_ff.to_rows())
-    lam = sympy.symbols("lam")
-    poly = m.charpoly(lam)
-    _, factors = sympy.factor_list(poly.as_expr())
+    rows = b_ff.to_rows()
+    poly = _charpoly(rows)
     eigs = []
-    for fac, mult in factors:
-        p = sympy.Poly(fac, lam)
-        if p.degree() == 0:
-            continue
-        if p.degree() != 1:
-            return None
-        a1, a0 = p.all_coeffs()
-        if a1 not in (1, -1) or int(a0) % int(a1):
-            return None
-        eigs.append((-int(a0) // int(a1), int(mult)))
-    return eigs
+    zeros = 0
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+        zeros += 1
+    if zeros:
+        eigs.append((0, zeros))
+    # an integer root divides the lowest coefficient, and no eigenvalue
+    # exceeds the largest absolute row sum in modulus
+    bound = max((sum(map(abs, row)) for row in rows), default=0)
+    c = abs(poly[-1])
+    cands = set()
+    d = 1
+    while d <= bound and d * d <= c:
+        if c % d == 0:
+            cands.add(d)
+            if c // d <= bound:
+                cands.add(c // d)
+        d += 1
+    for d in sorted(cands):
+        for lam in (d, -d):
+            mult = 0
+            while len(poly) > 1:
+                quot = [poly[0]]
+                for a in poly[1:]:
+                    quot.append(a + lam * quot[-1])
+                if quot.pop():
+                    break
+                poly = quot
+                mult += 1
+            if mult:
+                eigs.append((lam, mult))
+    return eigs if len(poly) == 1 else None
 
 
 def classify(t: TowerGroup) -> GroupExpr:

@@ -5,7 +5,11 @@ import threading
 
 import pytest
 
+from tilecohom import catalog, subst2d
+from tilecohom.abelian import FgAbGroup, GroupHom, IntMatrix
 from tilecohom.cli import main
+from tilecohom.errors import ExactnessFailure, NotWellDefined
+from tilecohom.limits import TowerGroup, limit_les
 
 
 def run(capsys, *argv):
@@ -97,6 +101,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "1d", "--grid", grid)
         assert code == 2 and not out and "grid" in err
 
+    @pytest.mark.parametrize("grid", [";", "", ";;"])
+    def test_empty_grid_is_usage_error(self, capsys, grid):
+        # ";" used to run no check and print "0/0 checks passed" with exit
+        # 0; "" used to fall back to DEFAULT_GRID
+        code, out, err = run(capsys, "verify", "1d", "--grid", grid)
+        assert code == 2 and not out and "grid" in err
+
     @pytest.mark.parametrize("scope", ["1d", "2d", "all"])
     def test_collar_rejected(self, capsys, scope):
         # verify's collars are fixed by the golden table; the flag used to
@@ -125,6 +136,84 @@ class TestCollar:
     def test_auto_for_1d_space_runs(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out
+
+
+def not_well_defined():
+    """The NotWellDefined (with its witness pair of windows) that a tile
+    coarsening merging the NE and NW arrows raises."""
+    def q(tile):
+        a, lab = tile
+        return ("N" if a in ("NE", "NW") else a, lab)
+    with pytest.raises(NotWellDefined) as exc:
+        subst2d.descend_rule(q)
+    assert exc.value.witness is not None
+    return exc.value
+
+
+def exactness_failure():
+    """The ExactnessFailure (at node "B") of Z -> Z -> Z, both maps 1."""
+    g = FgAbGroup.free(1)
+    one = GroupHom(g, g, IntMatrix.identity(1))
+    terms = [TowerGroup(g, one)] * 3
+    with pytest.raises(ExactnessFailure) as exc:
+        limit_les(terms, [one, one], names=["A", "B", "C"])
+    assert exc.value.node == "B"
+    return exc.value
+
+
+class TestErrorWitness:
+    """Typed errors print the witness or node they carry, in text and in
+    --json; these used to print the message alone."""
+
+    @pytest.fixture(params=["not_well_defined", "exactness_failure"])
+    def failing(self, request, monkeypatch):
+        e = {"not_well_defined": not_well_defined,
+             "exactness_failure": exactness_failure}[request.param]()
+
+        def compute_space(name, collar="auto"):
+            raise e
+        monkeypatch.setattr(catalog, "compute_space", compute_space)
+        return e
+
+    def test_text(self, capsys, failing):
+        code, out, err = run(capsys, "space", "sol:2")
+        assert code == 1 and not out
+        line, = err.splitlines()
+        assert line.startswith(f"error: {failing}")
+        if isinstance(failing, NotWellDefined):
+            assert f"witness: {failing.witness!r}" in line
+            assert "node:" not in line
+        else:
+            assert line.endswith("; node: 'B'")
+            assert "witness:" not in line
+
+    def test_json(self, capsys, failing):
+        code, out, err = run(capsys, "space", "sol:2", "--json")
+        assert code == 1 and err.startswith("error: ")
+        doc = json.loads(out)
+        assert doc["error"] == type(failing).__name__
+        assert doc["message"] == str(failing)
+        if isinstance(failing, NotWellDefined):
+            assert doc["witness"] == json.loads(json.dumps(failing.witness))
+            assert doc["node"] is None
+        else:
+            assert doc["node"] == "B" and doc["witness"] is None
+
+    def test_matrix_witness_json(self, capsys, monkeypatch):
+        e = NotWellDefined("matrix does not map relations into relations",
+                           witness=IntMatrix.from_rows([[2, 0], [0, 4]]))
+
+        def compute_space(name, collar="auto"):
+            raise e
+        monkeypatch.setattr(catalog, "compute_space", compute_space)
+        code, out, _ = run(capsys, "space", "sol:2", "--json")
+        assert code == 1 and json.loads(out)["witness"] == [[2, 0], [0, 4]]
+
+    def test_usage_error_json(self, capsys):
+        code, out, _ = run(capsys, "space", "tm:0,1", "--json")
+        doc = json.loads(out)
+        assert code == 2 and doc["error"] == "InvalidPath"
+        assert doc["witness"] is None and doc["node"] is None
 
 
 class TestMisc:

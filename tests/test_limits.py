@@ -119,6 +119,28 @@ class TestClassify:
                     assert m == radical(m)
 
 
+class TestTowerGroup:
+    def test_codomain_must_be_the_tower_group(self):
+        # used to be accepted, and classify then failed with an untyped
+        # "row mismatch" from hstack
+        g = FgAbGroup.free(1)
+        endo = GroupHom(g, FgAbGroup.free(2), IntMatrix.from_rows([[1], [0]]))
+        with pytest.raises(ValueError, match="self-map"):
+            TowerGroup(g, endo)
+
+    def test_domain_must_be_the_tower_group(self):
+        g = FgAbGroup.free(1)
+        endo = GroupHom(FgAbGroup.free(2), g, IntMatrix.from_rows([[1, 0]]))
+        with pytest.raises(ValueError, match="self-map"):
+            TowerGroup(g, endo)
+
+    def test_isomorphic_presentation_accepted(self):
+        # another group object with the same signature is still a self-map
+        g, h = FgAbGroup.free(1), FgAbGroup.free(1)
+        t = TowerGroup(g, GroupHom(h, h, IntMatrix.from_rows([[2]])))
+        assert str(classify(t)) == "Z[1/2]"
+
+
 class TestEventualRestriction:
     def test_strict_shrink(self):
         t = tower(2, [], [[2, 0], [0, 0]])
