@@ -36,26 +36,10 @@ class SpaceId:
     @classmethod
     def parse(cls, name: str) -> "SpaceId":
         family, _, rest = name.partition(":")
-        if family in ("tm", "pd"):
-            try:
-                k, l = (int(x) for x in rest.split(","))
-            except ValueError:
-                raise InvalidPath(f"bad parameters in {name!r}")
-            if k < 1 or l < 1:
-                raise InvalidPath(f"parameters must be >= 1 in {name!r}")
-            return cls(family, (k, l))
-        if family == "sol":
-            try:
-                m = int(rest)
-            except ValueError:
-                raise InvalidPath(f"bad parameter in {name!r}")
-            if m < 2:
-                raise InvalidPath(f"solenoid base must be >= 2 in {name!r}")
-            return cls(family, (m,))
         if family == "chair":
             subst2d.scheme_parts(rest)
             return cls(family, tuple(rest.split(",")))
-        raise InvalidPath(f"unknown space family in {name!r}")
+        return cls(*subst1d._space_1d(name))
 
     def __str__(self):
         return f"{self.family}:{','.join(str(p) for p in self.params)}"
@@ -157,8 +141,27 @@ def expected_1d_quotient(fine: SpaceId, coarse: SpaceId):
 
 # ---- computations ----
 
+def check_collar(collar: str, *names) -> str:
+    """The collar policy `collar` for the spaces `names`, or InvalidPath.
+
+    The policies are auto, on (alias forced) and off.  Only chair:* spaces
+    have collars, so on and off with a 1-D name are rejected rather than
+    ignored.  Returns the policy with on spelled forced.
+    """
+    if collar not in ("auto", "on", "forced", "off"):
+        raise InvalidPath(f"collar must be auto, on, forced or off, "
+                          f"not {collar!r}")
+    if collar != "auto":
+        for name in names:
+            if SpaceId.parse(name).family != "chair":
+                raise InvalidPath(f"collar {collar} applies only to chair:* "
+                                  f"spaces, not {name}")
+    return "forced" if collar == "on" else collar
+
+
 def compute_space(name: str, collar: str = "auto"):
     """Classified [H^0, ..., H^dim] of a named space."""
+    collar = check_collar(collar, name)
     sid = SpaceId.parse(name)
     if sid.family == "chair":
         cx, sm = subst2d.ap_complex_2d(sid.scheme, collar)
@@ -183,6 +186,7 @@ def compute_quotient(fine: str, coarse: str, collar: str = "auto"):
     `collar` applies to chair pairs, as in compute_path: `auto` means
     forced collars (see _pair_collar).
     """
+    collar = check_collar(collar, fine, coarse)
     if fine == coarse:
         dim = SpaceId.parse(fine).dimension
         return [GroupExpr.zero() for _ in range(dim + 1)]
@@ -205,7 +209,7 @@ def compute_quotient(fine: str, coarse: str, collar: str = "auto"):
 def compute_path(path: FactorPath, collar: str = "forced"):
     """Classified quotient cohomology of a composed lattice path (`auto`
     means forced collars; see _pair_collar)."""
-    collar = _pair_collar(collar)
+    collar = _pair_collar(check_collar(collar))
     f = subst2d.compose_path(path.start, path.word, collar)
     # self-maps of the endpoints of the realization compose_path composed
     end = subst2d.canonical_realization(path.start, path.word)[-1][1]

@@ -73,17 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _collar(args, *names) -> str:
-    """The library collar policy for --collar.  Only chair:* spaces have
-    collars, so `on` and `off` with a 1-D name are a usage error."""
-    if args.collar != "auto":
-        for name in names:
-            if catalog.SpaceId.parse(name).family != "chair":
-                raise InvalidPath(f"--collar {args.collar} applies only to "
-                                  f"chair:* spaces, not {name}")
-    return {"auto": "auto", "on": "forced", "off": "off"}[args.collar]
-
-
 def _parse_grid(text):
     items = [pair.split(",") for pair in text.split(";") if pair]
     try:
@@ -109,7 +98,7 @@ def _degree_results(exprs):
 
 def _run_space(args):
     t0 = time.monotonic()
-    exprs = catalog.compute_space(args.name, _collar(args, args.name))
+    exprs = catalog.compute_space(args.name, args.collar)
     ms = int((time.monotonic() - t0) * 1000)
     _emit(args,
           {"space": args.name, "results": _degree_results(exprs),
@@ -120,8 +109,7 @@ def _run_space(args):
 
 def _run_quotient(args):
     t0 = time.monotonic()
-    exprs = catalog.compute_quotient(args.fine, args.coarse,
-                                     _collar(args, args.fine, args.coarse))
+    exprs = catalog.compute_quotient(args.fine, args.coarse, args.collar)
     ms = int((time.monotonic() - t0) * 1000)
     _emit(args,
           {"pair": f"{args.fine}->{args.coarse}",
@@ -136,7 +124,7 @@ def _run_path(args):
         raise InvalidPath("path computations start at a chair:* space")
     t0 = time.monotonic()
     exprs = catalog.compute_path(catalog.FactorPath(sid.scheme, args.word),
-                                 _collar(args))
+                                 args.collar)
     ms = int((time.monotonic() - t0) * 1000)
     _emit(args,
           {"path": {"start": args.start, "word": args.word},
@@ -169,18 +157,12 @@ def _run_verify(args):
 
 
 def _run_dump(args):
+    collar = catalog.check_collar(args.collar, args.name)
     sid = catalog.SpaceId.parse(args.name)
-    collar = _collar(args, args.name)
     if sid.family == "chair":
         cx, _ = subst2d.ap_complex_2d(sid.scheme, collar)
     else:
-        f = sid.family
-        if f == "tm":
-            cx, _ = subst1d.tm_system(*sid.params, 1)
-        elif f == "pd":
-            cx, _ = subst1d.pd_system(*sid.params, 1)
-        else:
-            cx, _ = subst1d.sol_system(sid.params[0], 0)
+        cx, _ = subst1d.system_1d(args.name)
     _emit(args, {"space": args.name, "dump": cx.dump()}, [cx.dump()])
     return 0
 

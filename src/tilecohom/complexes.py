@@ -271,25 +271,18 @@ class CellularMap:
 
 
 def pullback(f: CellularMap, require_injective: bool = False):
-    """Cochain matrices f*_k : C^k(target) -> C^k(source)."""
+    """Cochain matrices f*_k : C^k(target) -> C^k(source).
+
+    The injectivity test decomposes each f*_k, and the connecting-map
+    lift of les_quotient solves against the same matrices (snf memo).
+    """
     mats = [m.transpose() for m in f.chain]
     if require_injective:
         for k, p in enumerate(mats):
-            if not _disjoint_columns(p) and rank(p) != p.cols:
+            if rank(p) != p.cols:
                 raise NotInjectiveOnCochains(
                     f"pullback not injective on degree-{k} cochains")
     return mats
-
-
-def _disjoint_columns(p: IntMatrix) -> bool:
-    """Do the columns of p have disjoint nonempty supports?  Then p is
-    injective, as is the pullback of a map sending each cell to one cell."""
-    hit = set()
-    for row in p.sparse_rows:
-        if len(row) > 1:
-            return False
-        hit.update(row)
-    return len(hit) == p.cols
 
 
 def cohomology_tower(c: CochainComplex, self_map: CellularMap, k: int) -> TowerGroup:
@@ -381,24 +374,10 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
     return QuotientComplex(x, y, f, qx, projs, sections)
 
 
-def _pullback_preimage(p: IntMatrix, pt: IntMatrix, b: IntMatrix):
-    """X with p X = b, or None, for a pullback p = pt^T whose columns have
-    disjoint supports of +-1 entries (quotient_complex checks this): then
-    p^T p is diagonal and X = (p^T p)^-1 p^T b exactly when b is in range."""
-    xs = {}
-    for i, (r, row) in enumerate(zip(pt.sparse_rows, (pt * b).sparse_rows)):
-        norm = sum(v * v for v in r.values())
-        if any(v % norm for v in row.values()):
-            return None
-        xs.update(((i, j), v // norm) for j, v in row.items())
-    x = IntMatrix.from_entries(pt.rows, b.cols, xs)
-    return x if p * x == b else None
-
-
 def _connecting_matrix(qc: QuotientComplex, pb, k, hq: FgAbGroup, hy1: FgAbGroup):
     """Zig-zag connecting map H^k_Q -> H^{k+1}(Y) on cocycle bases."""
     lifted = qc.base.coboundary(k) * (qc.section[k] * hq.ambient_lift)
-    y_coords = _pullback_preimage(pb[k + 1], qc.map.chain[k + 1], lifted)
+    y_coords = solve_matrix(pb[k + 1], lifted)
     if y_coords is None:
         raise NotACochainMap("connecting map lift failed")
     coords = _express(hy1, y_coords)

@@ -8,6 +8,8 @@ honest `unclassified` payload rather than a guessed form.
 """
 from __future__ import annotations
 
+import math
+
 import sympy
 
 from .abelian import (FgAbGroup, GroupHom, IntMatrix, kernel_basis,
@@ -325,6 +327,11 @@ def _blocks_split(blocks) -> bool:
     obstructs the splitting only when one of its p-primary generators has
     nontrivial p-denominator in two or more blocks whose base is coprime
     to p; such a coupling cannot be absorbed into any p-divisible summand.
+
+    With U W V = D for the stacked block bases W, the generator of
+    invariant factor d is column i of U^-1, and W (V e_i) = d U^-1 e_i
+    gives its block coefficients as column i of V over d (unique when W
+    has full column rank; otherwise the check fails).
     """
     stacked = blocks[0][2]
     for _, _, kb in blocks[1:]:
@@ -332,28 +339,21 @@ def _blocks_split(blocks) -> bool:
     s = snf(stacked)
     index = 1
     for d in s.invariant_factors:
-        index *= abs(d)
-    if abs(index) == 1:
+        index *= d
+    if index == 1:
         return True
-    w = sympy.Matrix(stacked.to_rows())
-    # work inside the saturation: generators of the discrepancy group are
-    # the canonical coordinates with invariant factor > 1
-    sat = sympy.Matrix(s.Uinv.select_columns(range(s.rank)).to_rows())
+    if s.rank < stacked.cols:
+        return False
     for i, d in enumerate(s.invariant_factors):
-        d = abs(d)
-        if d <= 1:
+        if d == 1:
             continue
-        gen = sat[:, i]
-        coeffs, params = w.gauss_jordan_solve(gen)
-        if params:
-            return False
+        coeffs = s.V.col(i)
         for p in sympy.factorint(d):
             involved = 0
             col = 0
             for rad, dim, _ in blocks:
-                block_coeffs = coeffs[col:col + dim, 0]
-                has_p_denom = any(sympy.Rational(c).q % p == 0
-                                  for c in block_coeffs)
+                has_p_denom = any(d // math.gcd(c, d) % p == 0
+                                  for c in coeffs[col:col + dim])
                 if has_p_denom and rad % p != 0:
                     involved += 1
                 col += dim

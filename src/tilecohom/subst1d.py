@@ -15,7 +15,7 @@ from .complexes import (CellularMap, CochainComplex,
                         _quotient_cohomology_tower, cohomology_tower,
                         hom_on_cohomology, les_quotient, pullback,
                         quotient_complex)
-from .errors import InvalidPath, NotACochainMap, NotPrimitive
+from .errors import InvalidPath, NotPrimitive
 from .limits import TowerGroup, classify, limit_les
 
 
@@ -167,28 +167,15 @@ def factor_map_phi(k: int, l: int) -> CellularMap:
     """Two-block code from the mirror system onto its period-doubling factor.
 
     Realized as a cellular map from the depth-2 mirror complex to the
-    depth-1 factor complex; shallower source collars do not determine the
-    image cells, so the collar is deepened until the assignment is defined.
+    depth-1 factor complex: the factor letter at position i reads source
+    positions i and i+1, so an image vertex (a 2-word) needs the source
+    vertex to be a 4-word, and a depth-1 source would not determine it.
     """
-    last_err = None
-    for depth in (1, 2, 3):
-        try:
-            return _build_phi(k, l, depth)
-        except NotACochainMap as err:
-            last_err = err
-    raise last_err
-
-
-def _build_phi(k, l, depth):
-    src, _ = tm_system(k, l, depth)
+    src, _ = tm_system(k, l, PHI_SOURCE_DEPTH)
     dst, _ = pd_system(k, l, 1)
-    r = depth
+    r = PHI_SOURCE_DEPTH
 
     def code(word, i):
-        # factor letter at position i needs positions i and i+1
-        if i + 1 >= len(word):
-            raise NotACochainMap(
-                f"collar depth {depth} does not determine the image")
         return _phi_letter(word[i], word[i + 1])
 
     assign = [{}, {}]
@@ -217,32 +204,50 @@ def factor_map_psi_phi(k: int, l: int) -> CellularMap:
 
 
 def _space_1d(name):
-    kind, _, params = name.partition(":")
-    nums = tuple(int(x) for x in params.split(",")) if params else ()
-    if kind == "tm" and len(nums) == 2:
-        return ("tm",) + nums
-    if kind == "pd" and len(nums) == 2:
-        return ("pd",) + nums
-    if kind == "sol" and len(nums) == 1:
-        return ("sol",) + nums
-    raise InvalidPath(f"unknown 1-D space {name!r}")
+    """(family, params) of a 1-D space name: tm:k,l or pd:k,l with k, l >= 1,
+    or sol:m with m >= 2.  catalog.SpaceId.parse reads 1-D names with it."""
+    family, _, rest = name.partition(":")
+    arity = {"tm": 2, "pd": 2, "sol": 1}.get(family)
+    if arity is None:
+        raise InvalidPath(f"unknown 1-D space family in {name!r}")
+    try:
+        params = tuple(int(x) for x in rest.split(","))
+    except ValueError:
+        params = ()
+    if len(params) != arity:
+        raise InvalidPath(f"bad parameters in {name!r}")
+    if family == "sol" and params[0] < 2:
+        raise InvalidPath(f"solenoid base must be >= 2 in {name!r}")
+    if min(params) < 1:
+        raise InvalidPath(f"parameters must be >= 1 in {name!r}")
+    return family, params
+
+
+def system_1d(name):
+    """(complex, self-map) of a named 1-D space at its default collar."""
+    family, params = _space_1d(name)
+    if family == "tm":
+        return tm_system(*params, 1)
+    if family == "pd":
+        return pd_system(*params, 1)
+    return sol_system(*params, 0)
 
 
 def factor_map_1d(source: str, target: str):
     """(f, self_src, self_tgt) for a connected pair of 1-D space names."""
-    s, t = _space_1d(source), _space_1d(target)
-    if s[0] == "tm" and t[0] == "pd" and s[1:] == t[1:]:
-        f = factor_map_phi(s[1], s[2])
-        _, sx = tm_system(s[1], s[2], PHI_SOURCE_DEPTH)
-        _, sy = pd_system(s[1], s[2], 1)
-    elif s[0] == "pd" and t[0] == "sol" and t[1] == s[1] + s[2]:
-        f = factor_map_psi(s[1], s[2])
-        _, sx = pd_system(s[1], s[2], 1)
-        _, sy = sol_system(t[1], 0)
-    elif s[0] == "tm" and t[0] == "sol" and t[1] == s[1] + s[2]:
-        f = factor_map_psi_phi(s[1], s[2])
-        _, sx = tm_system(s[1], s[2], PHI_SOURCE_DEPTH)
-        _, sy = sol_system(t[1], 0)
+    (sf, sp), (tf, tp) = _space_1d(source), _space_1d(target)
+    if (sf, tf) == ("tm", "pd") and sp == tp:
+        f = factor_map_phi(*sp)
+        _, sx = tm_system(*sp, PHI_SOURCE_DEPTH)
+        _, sy = pd_system(*sp, 1)
+    elif (sf, tf) == ("pd", "sol") and tp[0] == sum(sp):
+        f = factor_map_psi(*sp)
+        _, sx = pd_system(*sp, 1)
+        _, sy = sol_system(*tp, 0)
+    elif (sf, tf) == ("tm", "sol") and tp[0] == sum(sp):
+        f = factor_map_psi_phi(*sp)
+        _, sx = tm_system(*sp, PHI_SOURCE_DEPTH)
+        _, sy = sol_system(*tp, 0)
     else:
         raise InvalidPath(f"no factor map from {source!r} to {target!r}")
     return f, sx, sy
@@ -250,13 +255,7 @@ def factor_map_1d(source: str, target: str):
 
 def absolute_cohomology_1d(name: str):
     """[H^0, H^1] of a 1-D space, classified in the limit."""
-    s = _space_1d(name)
-    if s[0] == "tm":
-        cx, sm = tm_system(s[1], s[2], 1)
-    elif s[0] == "pd":
-        cx, sm = pd_system(s[1], s[2], 1)
-    else:
-        cx, sm = sol_system(s[1], 0)
+    cx, sm = system_1d(name)
     return [classify(cohomology_tower(cx, sm, k)) for k in (0, 1)]
 
 

@@ -351,7 +351,7 @@ def collar_depth(name: str, collar: str = "auto") -> int:
         return 0
     if collar == "auto":
         return 0 if border_forcing_check(name) is not None else 1
-    raise ValueError(f"collar must be auto/forced/off, not {collar!r}")
+    raise InvalidPath(f"collar must be auto, on, forced or off, not {collar!r}")
 
 
 def _roots(size, pairs):

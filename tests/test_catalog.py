@@ -111,6 +111,32 @@ class TestDrivers:
         assert compute_quotient("chair:/,0", "chair:0,0", "auto") \
             == compute_quotient("chair:/,0", "chair:0,0", "on")
 
+    @pytest.mark.parametrize("call", (
+        lambda: compute_space("tm:2,1", "off"),
+        lambda: compute_space("sol:3", "on"),
+        lambda: compute_quotient("tm:2,1", "pd:2,1", "off"),
+        lambda: compute_quotient("tm:1,1", "tm:1,1", "forced"),
+    ), ids=["space-off", "space-on", "quotient-off", "same-space-forced"])
+    def test_collar_on_off_rejected_for_1d(self, call):
+        # the collar used to be ignored for 1-D names
+        with pytest.raises(InvalidPath, match=r"chair:\* spaces"):
+            call()
+
+    @pytest.mark.parametrize("call", (
+        lambda: compute_space("chair:X,+", "bogus"),
+        lambda: compute_space("tm:2,1", "bogus"),
+        lambda: compute_quotient("chair:X,+", "chair:X,+", "bogus"),
+        lambda: compute_quotient("chair:/,0", "chair:0,0", "bogus"),
+        lambda: compute_path(FactorPath("X,+", "A"), "bogus"),
+        lambda: subst2d.collar_depth("X,+", "bogus"),
+    ), ids=["chair-space", "1d-space", "same-pair", "pair", "path",
+            "collar-depth"])
+    def test_unknown_collar_is_invalid_path(self, call):
+        # an unknown policy used to return zeros (same pair) or raise a
+        # ValueError whose message omitted `on`
+        with pytest.raises(InvalidPath, match="auto, on, forced or off"):
+            call()
+
     def test_lemma1_agreement_1d(self):
         maps = [(key, f, sx, sy) for key, f, sx, sy
                 in catalog_factor_maps(((2, 1),)) if "chair" not in key]

@@ -13,9 +13,8 @@ from tilecohom import complexes, subst1d, subst2d
 from tilecohom.abelian import IntMatrix
 from tilecohom.catalog import (DEFAULT_GRID, PATH_STARTS, PATH_WORDS,
                                catalog_factor_maps)
-from tilecohom.complexes import (_pullback_preimage, _reduce, cohomology,
-                                 cohomology_tower, hom_on_cohomology,
-                                 les_quotient)
+from tilecohom.complexes import (_reduce, cohomology, cohomology_tower,
+                                 hom_on_cohomology, les_quotient)
 from tilecohom.errors import NotACochainMap
 from tilecohom.limits import classify
 
@@ -148,16 +147,6 @@ def test_non_cocycle_image_rejected():
         hom_on_cohomology(IntMatrix.from_rows([[1], [0]]), h0, h0i)
     assert hom_on_cohomology(IntMatrix.from_rows([[1], [1]]), h0, h0i) \
         .is_injective()
-
-
-def test_pullback_preimage():
-    # two source cells over one target cell: p^T p = (2)
-    p = IntMatrix.from_rows([[1], [-1], [0]])
-    pt = p.transpose()
-    b = IntMatrix.from_rows([[3, 0], [-3, 0], [0, 0]])
-    assert _pullback_preimage(p, pt, b) == IntMatrix.from_rows([[3, 0]])
-    for bad in ([[1], [0], [0]], [[1], [1], [0]], [[0], [0], [1]]):
-        assert _pullback_preimage(p, pt, IntMatrix.from_rows(bad)) is None
 
 
 def naive_product(a, b):

@@ -94,6 +94,28 @@ class TestAbsolute:
         with pytest.raises(InvalidPath):
             absolute_cohomology_1d("fib:1,1")
 
+    @pytest.mark.parametrize("name", ("tm:a,b", "tm:0,1", "pd:2,0", "sol:1",
+                                      "sol:x", "tm:2", "tm:2,1,3", "sol:",
+                                      "chair:X,+"))
+    def test_malformed_name_is_invalid_path(self, name):
+        # these used to raise a bare ValueError from int() or from the
+        # substitution constructors
+        with pytest.raises(InvalidPath):
+            absolute_cohomology_1d(name)
+
+    @pytest.mark.parametrize("name", ("tm:2,1", "pd:1,3", "sol:2", "tm:a,b",
+                                      "tm:0,1", "sol:1", "pd:2", "sol:3,1",
+                                      "foo:1"))
+    def test_one_rule_with_space_id(self, name):
+        """SpaceId.parse and the 1-D functions accept the same names."""
+        def accepts(fn):
+            try:
+                fn(name)
+            except InvalidPath:
+                return False
+            return True
+        assert accepts(SpaceId.parse) == accepts(absolute_cohomology_1d)
+
 
 class TestQuotients:
     @pytest.mark.parametrize("kl", GRID)
@@ -116,6 +138,12 @@ class TestQuotients:
     def test_unrelated_pair(self):
         with pytest.raises(InvalidPath):
             factor_map_1d("pd:2,1", "sol:5")  # wrong solenoid base
+
+    @pytest.mark.parametrize("pair", (("tm:1,0", "pd:1,0"), ("tm:1,1", "pd:x"),
+                                      ("pd:1,1", "sol:1")))
+    def test_malformed_pair_is_invalid_path(self, pair):
+        with pytest.raises(InvalidPath):
+            factor_map_1d(*pair)
 
     def test_phi_needs_deeper_collar(self):
         f = factor_map_phi(1, 1)
