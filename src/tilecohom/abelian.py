@@ -445,10 +445,9 @@ class FgAbGroup:
     """
 
     __slots__ = ("ngens", "rel", "invariants", "U", "Uinv",
-                 "free_rank", "torsion", "ambient_lift", "ambient_cob",
-                 "_coords")
+                 "free_rank", "torsion", "ambient_lift", "_coords")
 
-    def __init__(self, ngens, rel=None, ambient_lift=None, ambient_cob=None):
+    def __init__(self, ngens, rel=None, ambient_lift=None):
         self.ngens = ngens
         self.rel = rel if rel is not None else IntMatrix.zeros(ngens, 0)
         if self.rel.rows != ngens:
@@ -461,10 +460,6 @@ class FgAbGroup:
         self.free_rank = sum(1 for d in inv if d == 0)
         self.torsion = tuple(sorted(d for d in inv if d > 1))
         self.ambient_lift = ambient_lift
-        # when the lift generators are only a generating set modulo a
-        # coboundary lattice, that lattice is kept so elements can be
-        # expressed as lift-combination + coboundary
-        self.ambient_cob = ambient_cob
         self._coords = None
 
     @classmethod

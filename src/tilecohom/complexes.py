@@ -164,9 +164,8 @@ def cohomology(c: CochainComplex, k: int) -> FgAbGroup:
     Computed on the reduced complex of _reduce.  The presentation is
     reduced to canonical coordinates (one generator per nontrivial
     invariant factor); `ambient_lift` holds cocycle representatives of the
-    generators in c's own cochains and `ambient_cob` c's coboundary
-    lattice, so arbitrary cocycles can still be expressed in terms of the
-    generators (see _express).
+    generators in c's own cochains, and `_coords` what _express needs to
+    write any cocycle in terms of the generators.
     """
     if not 0 <= k <= c.dimension:
         raise ValueError("degree out of range")
@@ -188,8 +187,7 @@ def cohomology(c: CochainComplex, k: int) -> FgAbGroup:
     minrel = IntMatrix.from_entries(
         nk, len(torsion), {(i, j): d for j, (i, d) in enumerate(torsion)})
     lift = kb * from_min
-    h = FgAbGroup(nk, minrel, ambient_lift=iota[k] * lift,
-                  ambient_cob=c.coboundary(k - 1))
+    h = FgAbGroup(nk, minrel, ambient_lift=iota[k] * lift)
     h._coords = (c.coboundary(k), pi[k], lift.hstack(im))
     c._hcache[k] = h
     return h
@@ -216,11 +214,12 @@ class CellularMap:
 
     Entries are signed incidence multiplicities; a substitution self-map
     sends an edge to an edge path, a quotient map sends each cell to a
-    single cell with sign +1.  Commutation with the boundary is checked on
-    construction.
+    single cell with sign +1.  `cochain[k]` is the pullback
+    f*_k = F_k^T : C^k(target) -> C^k(source), and commutation with the
+    coboundary is checked on it at construction.
     """
 
-    __slots__ = ("source", "target", "chain")
+    __slots__ = ("source", "target", "chain", "cochain")
 
     def __init__(self, source: CochainComplex, target: CochainComplex, chain):
         self.source = source
@@ -231,10 +230,11 @@ class CellularMap:
         for k, f in enumerate(self.chain):
             if f.rows != target.n_cells(k) or f.cols != source.n_cells(k):
                 raise ValueError(f"chain matrix {k} has wrong shape")
+        self.cochain = [f.transpose() for f in self.chain]
         for k in range(source.dimension):
-            # boundary = transpose of coboundary; d f = f d
-            left = self.target.coboundary(k).transpose() * self.chain[k + 1]
-            right = self.chain[k] * self.source.coboundary(k).transpose()
+            # f* delta = delta f*, the transpose of d f = f d
+            left = self.cochain[k + 1] * self.target.coboundary(k)
+            right = self.source.coboundary(k) * self.cochain[k]
             if left != right:
                 raise NotACochainMap(f"boundary square fails at degree {k + 1}")
 
@@ -271,24 +271,23 @@ class CellularMap:
 
 
 def pullback(f: CellularMap, require_injective: bool = False):
-    """Cochain matrices f*_k : C^k(target) -> C^k(source).
+    """Cochain matrices f*_k : C^k(target) -> C^k(source), i.e. f.cochain.
 
     The injectivity test decomposes each f*_k, and the connecting-map
     lift of les_quotient solves against the same matrices (snf memo).
     """
-    mats = [m.transpose() for m in f.chain]
     if require_injective:
-        for k, p in enumerate(mats):
+        for k, p in enumerate(f.cochain):
             if rank(p) != p.cols:
                 raise NotInjectiveOnCochains(
                     f"pullback not injective on degree-{k} cochains")
-    return mats
+    return f.cochain
 
 
 def cohomology_tower(c: CochainComplex, self_map: CellularMap, k: int) -> TowerGroup:
     """H^k(c) with the endomorphism induced by the self-map's pullback."""
     h = cohomology(c, k)
-    return TowerGroup(h, hom_on_cohomology(self_map.chain[k].transpose(), h, h))
+    return TowerGroup(h, hom_on_cohomology(self_map.cochain[k], h, h))
 
 
 def hom_on_cohomology(p: IntMatrix, ha: FgAbGroup, hb: FgAbGroup) -> GroupHom:
@@ -312,12 +311,9 @@ class QuotientComplex:
     the quotient basis (the non-representative cells of X).
     """
 
-    __slots__ = ("base", "other", "map", "complex", "proj", "section")
+    __slots__ = ("complex", "proj", "section")
 
-    def __init__(self, base, other, fmap, complex_, proj, section):
-        self.base = base
-        self.other = other
-        self.map = fmap
+    def __init__(self, complex_, proj, section):
         self.complex = complex_
         self.proj = proj
         self.section = section
@@ -371,19 +367,7 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
             raise NotWellDefined(
                 f"coboundary does not descend to the quotient at degree {k}")
     qx = CochainComplex(qcells, deltas)
-    return QuotientComplex(x, y, f, qx, projs, sections)
-
-
-def _connecting_matrix(qc: QuotientComplex, pb, k, hq: FgAbGroup, hy1: FgAbGroup):
-    """Zig-zag connecting map H^k_Q -> H^{k+1}(Y) on cocycle bases."""
-    lifted = qc.base.coboundary(k) * (qc.section[k] * hq.ambient_lift)
-    y_coords = solve_matrix(pb[k + 1], lifted)
-    if y_coords is None:
-        raise NotACochainMap("connecting map lift failed")
-    coords = _express(hy1, y_coords)
-    if coords is None:
-        raise NotACochainMap("connecting image is not a cocycle class")
-    return coords
+    return QuotientComplex(qx, projs, sections)
 
 
 def _quotient_cohomology_tower(qc: QuotientComplex, self_x: CellularMap,
@@ -391,7 +375,7 @@ def _quotient_cohomology_tower(qc: QuotientComplex, self_x: CellularMap,
     """H^k_Q with the endo induced by proj f* section, applied to the
     generators' lift first so every product has a thin right factor."""
     h = cohomology(qc.complex, k)
-    z = self_x.chain[k].transpose() * (qc.section[k] * h.ambient_lift)
+    z = self_x.cochain[k] * (qc.section[k] * h.ambient_lift)
     return TowerGroup(h, _induced(h, h, qc.proj[k] * z))
 
 
@@ -407,45 +391,36 @@ def les_quotient(f: CellularMap, self_x: CellularMap, self_y: CellularMap):
         if f.chain[k] * self_x.chain[k] != self_y.chain[k] * f.chain[k]:
             raise NotACochainMap(
                 f"factor map does not intertwine the self-maps at degree {k}")
-    pb = pullback(f, require_injective=True)
     qc = quotient_complex(f)
     towers, maps, names = [], [], []
-    prev_hq = None
-    prev_hq_tower = None
-    d = x.dimension
-    result = {"Y": [], "X": [], "Q": []}
-    zero = TowerGroup(FgAbGroup.trivial(),
-                      GroupHom.zero(FgAbGroup.trivial(), FgAbGroup.trivial()))
-    towers.append(zero)
-    names.append("0")
-    for k in range(d + 1):
-        ty = cohomology_tower(y, self_y, k) if k <= y.dimension else zero
+    for k in range(x.dimension + 1):
+        if k <= y.dimension:
+            ty = cohomology_tower(y, self_y, k)
+        else:
+            g = FgAbGroup.trivial()
+            ty = TowerGroup(g, GroupHom.zero(g, g))
         tx = cohomology_tower(x, self_x, k)
         tq = _quotient_cohomology_tower(qc, self_x, k)
-        hq = tq.group
-        if k == 0:
-            maps.append(GroupHom.zero(zero.group, ty.group))
-        else:
-            conn = _connecting_matrix(qc, pb, k - 1, prev_hq, ty.group)
-            maps.append(GroupHom(prev_hq, ty.group, conn))
-        maps.append(hom_on_cohomology(pb[k], ty.group, tx.group))
+        if k > 0:
+            # zig-zag connecting map H^(k-1)_Q -> H^k(Y) on cocycle bases
+            hq = towers[-1].group
+            lifted = x.coboundary(k - 1) * (qc.section[k - 1] * hq.ambient_lift)
+            y_coords = solve_matrix(f.cochain[k], lifted)
+            if y_coords is None:
+                raise NotACochainMap("connecting map lift failed")
+            coords = _express(ty.group, y_coords)
+            if coords is None:
+                raise NotACochainMap("connecting image is not a cocycle class")
+            maps.append(GroupHom(hq, ty.group, coords))
+        maps.append(hom_on_cohomology(f.cochain[k], ty.group, tx.group))
         maps.append(hom_on_cohomology(qc.proj[k], tx.group, tq.group))
-        towers.extend([ty, tx, tq])
-        names.extend([f"H^{k}(Y)", f"H^{k}(X)", f"H^{k}_Q"])
-        prev_hq, prev_hq_tower = hq, tq
-    towers.append(zero)
-    names.append("0")
-    maps.append(GroupHom.zero(prev_hq_tower.group, zero.group))
+        towers += [ty, tx, tq]
+        names += [f"H^{k}(Y)", f"H^{k}(X)", f"H^{k}_Q"]
+    # limit_les checks the first and last nodes against 0 -> H^0(Y) and
+    # H^d_Q -> 0 itself, so the sequence carries no zero ends
     exprs = limit_les(towers, maps, names=names)
-    for i, name in enumerate(names):
-        if name.endswith("(Y)"):
-            result["Y"].append(exprs[i])
-        elif name.endswith("(X)"):
-            result["X"].append(exprs[i])
-        elif name.endswith("_Q"):
-            result["Q"].append(exprs[i])
-    result["nodes"] = names
-    return result
+    return {"Y": exprs[0::3], "X": exprs[1::3], "Q": exprs[2::3],
+            "nodes": ["0", *names, "0"]}
 
 
 def lemma1_shortcut(f: CellularMap, self_x: CellularMap, self_y: CellularMap,

@@ -1,7 +1,8 @@
 """CW cochain complexes, cellular maps, quotient complexes."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tilecohom.abelian import FgAbGroup, IntMatrix
+from tilecohom.abelian import FgAbGroup, IntMatrix, kernel_basis
 from tilecohom.complexes import (CellularMap, CochainComplex, cohomology,
                                  cohomology_tower, hom_on_cohomology,
                                  les_quotient, pullback, quotient_complex)
@@ -29,6 +30,28 @@ def torus():
     """One vertex, two loops, one square; all coboundaries vanish."""
     return CochainComplex([["v"], ["a", "b"], ["f"]],
                           [IntMatrix.zeros(2, 1), IntMatrix.zeros(1, 2)])
+
+
+def small_matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda r: IntMatrix.from_entries(rows, cols, {
+            (i, j): x for i, row in enumerate(r) for j, x in enumerate(row)}))
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes of dimension 1 or 2 with at most 4 cells per degree; the
+    rows of delta_1 are combinations of the left kernel of delta_0."""
+    n = draw(st.lists(st.integers(0, 4), min_size=2, max_size=3))
+    d0 = draw(small_matrices(n[1], n[0]))
+    deltas = [d0]
+    if len(n) == 3:
+        left_kernel = kernel_basis(d0.transpose())
+        deltas.append(draw(small_matrices(n[2], left_kernel.cols))
+                      * left_kernel.transpose())
+    return CochainComplex([[f"c{k}_{i}" for i in range(nk)]
+                           for k, nk in enumerate(n)], deltas)
 
 
 class TestCochainComplex:
@@ -90,6 +113,26 @@ class TestCellularMap:
         ff = f.compose(f)
         assert ff.chain[1] == M([[4]])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cochain_square_is_the_chain_square(self, data):
+        src = data.draw(small_complexes())
+        tgt = src if data.draw(st.booleans()) else data.draw(small_complexes())
+        chain = [data.draw(small_matrices(tgt.n_cells(k), src.n_cells(k)))
+                 for k in range(src.dimension + 1)]
+        square = all(
+            tgt.coboundary(k).transpose() * chain[k + 1]
+            == chain[k] * src.coboundary(k).transpose()
+            for k in range(src.dimension))
+        try:
+            f = CellularMap(src, tgt, chain)
+        except NotACochainMap as e:
+            assert not square
+            assert str(e).startswith("boundary square fails at degree ")
+        else:
+            assert square
+            assert f.cochain == [m.transpose() for m in chain]
+
     def test_pullback_injectivity_check(self):
         c = circle()
         z = CellularMap(c, c, [M([[1]]), M([[0]])])
@@ -147,6 +190,22 @@ class TestQuotient:
         sy = CellularMap(y, y, [M([[1]]), M([[2]])])
         with pytest.raises(NotACochainMap):
             les_quotient(f, sx, sy)
+
+    def test_les_rejects_noninjective_pullback(self):
+        x, y = circle(1), circle(1)
+        z = CellularMap(x, y, [M([[1]]), M([[0]])])
+        with pytest.raises(NotInjectiveOnCochains) as exc:
+            les_quotient(z, CellularMap.identity(x), CellularMap.identity(y))
+        assert str(exc.value) == "pullback not injective on degree-1 cochains"
+
+    def test_les_rejects_non_cellwise_map(self):
+        x, y = circle(1), circle(1)
+        w = CellularMap(x, y, [M([[1]]), M([[2]])])
+        with pytest.raises(NotWellDefined) as exc:
+            les_quotient(w, CellularMap.identity(x), CellularMap.identity(y))
+        assert str(exc.value) == \
+            "degree-1 cell covers a target cell with multiplicity"
+        assert exc.value.witness == "e0"
 
     def test_quotient_requires_injective_pullback(self):
         x, y = circle(1), circle(1)

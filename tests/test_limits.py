@@ -212,6 +212,51 @@ class TestLimitLes:
                 names=["0", "A", "B", "C", "0"])
         assert exc.value.node in ("A", "B")
 
+    def test_unpadded_ses_matches_padded(self):
+        # the end-node defects stand in for the zero towers at both ends
+        za, zb, zc, alpha, beta = self._ses()
+        zg = FgAbGroup.trivial()
+        tz = TowerGroup(zg, GroupHom.zero(zg, zg))
+        padded = limit_les(
+            [tz, za, zb, zc, tz],
+            [GroupHom.zero(zg, za.group), alpha, beta,
+             GroupHom.zero(zc.group, zg)])
+        exprs = limit_les([za, zb, zc], [alpha, beta])
+        assert [str(e) for e in exprs] == [str(e) for e in padded[1:4]]
+
+    def test_first_map_not_injective(self):
+        za, zb, zc, alpha, beta = self._ses()
+        maps = [GroupHom.zero(za.group, zb.group), beta]
+        with pytest.raises(ExactnessFailure) as exc:
+            limit_les([za, zb, zc], maps, names=["A", "B", "C"])
+        assert exc.value.node == "A"
+        zg = FgAbGroup.trivial()
+        tz = TowerGroup(zg, GroupHom.zero(zg, zg))
+        with pytest.raises(ExactnessFailure) as padded:
+            limit_les([tz, za, zb, zc, tz],
+                      [GroupHom.zero(zg, za.group), *maps,
+                       GroupHom.zero(zc.group, zg)],
+                      names=["0", "A", "B", "C", "0"])
+        assert padded.value.node == "A"
+
+    def test_last_map_not_surjective(self):
+        # B -> C + Z[1/5] misses the second summand
+        za, zb, _, alpha, _ = self._ses()
+        zc5 = tower(2, [], [[3, 0], [0, 5]])
+        beta = GroupHom(zb.group, zc5.group,
+                        IntMatrix.from_rows([[0, 1], [0, 0]]))
+        with pytest.raises(ExactnessFailure) as exc:
+            limit_les([za, zb, zc5], [alpha, beta], names=["A", "B", "C"])
+        assert exc.value.node == "C"
+        zg = FgAbGroup.trivial()
+        tz = TowerGroup(zg, GroupHom.zero(zg, zg))
+        with pytest.raises(ExactnessFailure) as padded:
+            limit_les([tz, za, zb, zc5, tz],
+                      [GroupHom.zero(zg, za.group), alpha, beta,
+                       GroupHom.zero(zc5.group, zg)],
+                      names=["0", "A", "B", "C", "0"])
+        assert padded.value.node == "C"
+
     def test_noncommuting_rejected(self):
         za = tower(1, [], [[2]])
         zb = tower(1, [], [[3]])

@@ -101,4 +101,4 @@ def test_chair_cohomology_matrices_match_dense():
         im = cx.coboundary(k - 1) if k else IntMatrix.zeros(cx.n_cells(k), 0)
         assert solve_matrix(kb, im) == dense_solve_matrix(kb, im)
         h = cohomology(cx, k)
-        assert_same_snf(h.ambient_lift.hstack(h.ambient_cob))
+        assert_same_snf(h.ambient_lift.hstack(im))

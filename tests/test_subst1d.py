@@ -71,6 +71,17 @@ class TestComplexes:
             assert iso_check(e1, e2)
 
 
+    @pytest.mark.parametrize("family", [tm_substitution, pd_substitution])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_vertices_are_the_legal_2r_words(self, family, r):
+        # the complex reads its vertices off its edges' heads
+        for k in range(1, 41, 6):
+            for l in range(1, 41, 7):
+                s = family(k, l)
+                cx, _ = ap_complex_1d(s, r)
+                assert cx.cells[0] == sorted(legal_words(s, 2 * r))
+
+
 class TestAbsolute:
     @pytest.mark.parametrize("kl", GRID)
     def test_grid_tm(self, kl):
