@@ -267,22 +267,18 @@ def verify_all(scope: str = "all", grid=None):
                     report.append(_check("quotient", f"{fine}->{coarse}",
                                          d, e, g))
     if scope in ("2d", "all"):
-        for name in CHAIR_SPACES:
-            exp = golden_lookup("space", name)
-            got = compute_space(name, "forced")
+        compute = {"space": lambda name: compute_space(name, "forced"),
+                   "path": lambda word: compute_path(
+                       FactorPath(PATH_STARTS[word], word)),
+                   "quotient": lambda name: compute_quotient(
+                       name, "chair:0,0")}
+        for kind, key, arg in ([("space", n, n) for n in CHAIR_SPACES]
+                               + [("path", w, w) for w in PATH_WORDS]
+                               + [("quotient", f"{n}->chair:0,0", n)
+                                  for n in CHAIR_SPACES]):
+            exp, got = golden_lookup(kind, key), compute[kind](arg)
             for d in sorted(exp):
-                report.append(_check("space", name, d, exp[d], got[d]))
-        for word in PATH_WORDS:
-            exp = golden_lookup("path", word)
-            got = compute_path(FactorPath(PATH_STARTS[word], word))
-            for d in sorted(exp):
-                report.append(_check("path", word, d, exp[d], got[d]))
-        for name in CHAIR_SPACES:
-            key = f"{name}->chair:0,0"
-            exp = golden_lookup("quotient", key)
-            got = compute_quotient(name, "chair:0,0")
-            for d in sorted(exp):
-                report.append(_check("quotient", key, d, exp[d], got[d]))
+                report.append(_check(kind, key, d, exp[d], got[d]))
     return report
 
 

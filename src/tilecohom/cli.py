@@ -96,42 +96,36 @@ def _degree_results(exprs):
     return [dict(degree=k, **e.structured()) for k, e in enumerate(exprs)]
 
 
-def _run_space(args):
+def _run_groups(args, doc, compute, label, first=0):
+    """Time compute() and emit its groups, in `doc` and as one line."""
     t0 = time.monotonic()
-    exprs = catalog.compute_space(args.name, args.collar)
-    ms = int((time.monotonic() - t0) * 1000)
-    _emit(args,
-          {"space": args.name, "results": _degree_results(exprs),
-           "runtime_ms": ms},
-          ["; ".join(f"H^{k} = {e}" for k, e in enumerate(exprs))])
+    exprs = compute()
+    doc.update(results=_degree_results(exprs),
+               runtime_ms=int((time.monotonic() - t0) * 1000))
+    _emit(args, doc, ["; ".join(f"H^{k}{label} = {e}"
+                                for k, e in enumerate(exprs) if k >= first)])
     return 0
+
+
+def _run_space(args):
+    return _run_groups(args, {"space": args.name},
+                       lambda: catalog.compute_space(args.name, args.collar),
+                       "")
 
 
 def _run_quotient(args):
-    t0 = time.monotonic()
-    exprs = catalog.compute_quotient(args.fine, args.coarse, args.collar)
-    ms = int((time.monotonic() - t0) * 1000)
-    _emit(args,
-          {"pair": f"{args.fine}->{args.coarse}",
-           "results": _degree_results(exprs), "runtime_ms": ms},
-          ["; ".join(f"H^{k}_Q = {e}" for k, e in enumerate(exprs))])
-    return 0
+    return _run_groups(args, {"pair": f"{args.fine}->{args.coarse}"},
+                       lambda: catalog.compute_quotient(
+                           args.fine, args.coarse, args.collar), "_Q")
 
 
 def _run_path(args):
     sid = catalog.SpaceId.parse(args.start)
     if sid.family != "chair":
         raise InvalidPath("path computations start at a chair:* space")
-    t0 = time.monotonic()
-    exprs = catalog.compute_path(catalog.FactorPath(sid.scheme, args.word),
-                                 args.collar)
-    ms = int((time.monotonic() - t0) * 1000)
-    _emit(args,
-          {"path": {"start": args.start, "word": args.word},
-           "results": _degree_results(exprs), "runtime_ms": ms},
-          ["; ".join(f"H^{k}_Q = {e}"
-                     for k, e in enumerate(exprs) if k >= 1)])
-    return 0
+    doc = {"path": {"start": args.start, "word": args.word}}
+    return _run_groups(args, doc, lambda: catalog.compute_path(
+        catalog.FactorPath(sid.scheme, args.word), args.collar), "_Q", 1)
 
 
 def _run_verify(args):

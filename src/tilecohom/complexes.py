@@ -285,9 +285,14 @@ def pullback(f: CellularMap, require_injective: bool = False):
 
 
 def cohomology_tower(c: CochainComplex, self_map: CellularMap, k: int) -> TowerGroup:
-    """H^k(c) with the endomorphism induced by the self-map's pullback."""
+    """H^k(c) with the endomorphism induced by the self-map's pullback,
+    kept with H^k in c's cohomology cache under the key (self_map, k)."""
     h = cohomology(c, k)
-    return TowerGroup(h, hom_on_cohomology(self_map.cochain[k], h, h))
+    t = c._hcache.get((self_map, k))
+    if t is None:
+        t = TowerGroup(h, hom_on_cohomology(self_map.cochain[k], h, h))
+        c._hcache[self_map, k] = t
+    return t
 
 
 def hom_on_cohomology(p: IntMatrix, ha: FgAbGroup, hb: FgAbGroup) -> GroupHom:
@@ -387,7 +392,8 @@ def les_quotient(f: CellularMap, self_x: CellularMap, self_y: CellularMap):
     defect.  The self-maps must intertwine with f (checked at chain level).
     """
     x, y = f.source, f.target
-    for k in range(x.dimension + 1):
+    # above y's dimension there are no target cells to intertwine
+    for k in range(min(x.dimension, y.dimension) + 1):
         if f.chain[k] * self_x.chain[k] != self_y.chain[k] * f.chain[k]:
             raise NotACochainMap(
                 f"factor map does not intertwine the self-maps at degree {k}")
@@ -397,8 +403,9 @@ def les_quotient(f: CellularMap, self_x: CellularMap, self_y: CellularMap):
         if k <= y.dimension:
             ty = cohomology_tower(y, self_y, k)
         else:
-            g = FgAbGroup.trivial()
-            ty = TowerGroup(g, GroupHom.zero(g, g))
+            # H^k(Y) = 0 is the cohomology of the empty complex
+            e = CochainComplex([[]], [])
+            ty = cohomology_tower(e, CellularMap.identity(e), 0)
         tx = cohomology_tower(x, self_x, k)
         tq = _quotient_cohomology_tower(qc, self_x, k)
         if k > 0:

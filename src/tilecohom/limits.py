@@ -133,9 +133,10 @@ class GroupExpr:
 
 
 class TowerGroup:
-    """A stationary direct system: one group and one self-map."""
+    """A stationary direct system: one group and one self-map, and in
+    `limit` its classification once `classify` has made it."""
 
-    __slots__ = ("group", "endo")
+    __slots__ = ("group", "endo", "limit")
 
     def __init__(self, group: FgAbGroup, endo: GroupHom):
         for side in (endo.domain, endo.codomain):
@@ -143,10 +144,7 @@ class TowerGroup:
                 raise ValueError("endo is not a self-map of the tower group")
         self.group = group
         self.endo = endo
-
-    @classmethod
-    def from_matrix(cls, group: FgAbGroup, matrix: IntMatrix) -> "TowerGroup":
-        return cls(group, GroupHom(group, group, matrix))
+        self.limit = None
 
     def power(self, j: int) -> "TowerGroup":
         m = IntMatrix.identity(self.group.ngens)
@@ -280,7 +278,14 @@ def classify(t: TowerGroup) -> GroupExpr:
     splitting.  Only when several distinct radicals interact through the
     finite-index discrepancy is a genuine splitting check required, and a
     failed check yields an unclassified payload rather than a guess.
+    The result is kept in `t.limit`; later calls return it.
     """
+    if t.limit is None:
+        t.limit = _classify(t)
+    return t.limit
+
+
+def _classify(t: TowerGroup) -> GroupExpr:
     rt = eventual_restriction(t)
     g = rt.group
     if g.ngens == 0 or g.is_trivial():

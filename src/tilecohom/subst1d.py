@@ -71,31 +71,44 @@ def solenoid_substitution(m: int) -> Substitution1D:
     return Substitution1D(("s",), {"s": ("s",) * m})
 
 
+def _legal_patches(tiles, image, windows, stretch, n):
+    """The set of legal n-patches: n-words in 1-D, n x n squares in 2-D.
+
+    `tiles` are the one-tile patches, `image(p)` the substituted patch p,
+    `windows(p, m)` the m-patches in p, and `stretch` >= 2 the least factor
+    by which `image` lengthens a side.  A legal 2-patch lies in the image
+    of a tile or of a legal 2-patch, a legal m'-patch, m' <= (m - 1) *
+    stretch + 1, in the image of a legal m-patch (Anderson-Putnam, ETDS 18,
+    1998)."""
+    found = set().union(*(windows(image(t), 2) for t in tiles))
+    frontier = found
+    while frontier:
+        frontier = set().union(*(windows(image(p), 2)
+                                 for p in frontier)) - found
+        found |= frontier
+    m = 2
+    while m < n:
+        m = min(n, (m - 1) * stretch + 1)
+        found = set().union(*(windows(image(p), m) for p in found))
+    return found if n >= 2 else set().union(*(windows(p, n) for p in found))
+
+
 def legal_words(s: Substitution1D, n: int) -> set:
     """All length-n factors of the substitution language."""
     s.require_primitive()
     if n < 1:
         raise ValueError("n >= 1 required")
-
-    def factors(word):
-        return {word[i:i + n] for i in range(len(word) - n + 1)}
-
-    found = set()
-    for a in s.alphabet:
-        w = (a,)
-        while len(w) < n:
-            w = s.apply(w)
-        found |= factors(s.apply(w))
-    frontier = set(found)
-    while frontier:
-        new = set()
-        for w in frontier:
-            for f in factors(s.apply(w)):
-                if f not in found:
-                    found.add(f)
-                    new.add(f)
-        frontier = new
-    return found
+    # a power of s with every image of length >= 2 has the same language
+    rule = s.rule
+    while min(map(len, rule.values())) < 2:
+        if len(rule) == 1:
+            raise ValueError("a one-letter substitution must expand")
+        rule = {a: s.apply(w) for a, w in rule.items()}
+    return _legal_patches([(a,) for a in s.alphabet],
+                          lambda w: tuple(c for a in w for c in rule[a]),
+                          lambda w, m: {w[i:i + m]
+                                        for i in range(len(w) - m + 1)},
+                          min(map(len, rule.values())), n)
 
 
 def ap_complex_1d(s: Substitution1D, depth: int = 1):
@@ -139,10 +152,6 @@ def ap_complex_1d(s: Substitution1D, depth: int = 1):
     return cx, self_map
 
 
-def _phi_letter(x, y):
-    return "a" if x != y else "b"
-
-
 @functools.lru_cache(maxsize=None)
 def tm_system(k, l, depth=1):
     return ap_complex_1d(tm_substitution(k, l), depth)
@@ -175,7 +184,7 @@ def factor_map_phi(k: int, l: int) -> CellularMap:
     r = PHI_SOURCE_DEPTH
 
     def code(word, i):
-        return _phi_letter(word[i], word[i + 1])
+        return "a" if word[i] != word[i + 1] else "b"
 
     assign = [{}, {}]
     for v in src.cells[0]:
@@ -237,18 +246,14 @@ def factor_map_1d(source: str, target: str):
     (sf, sp), (tf, tp) = _space_1d(source), _space_1d(target)
     if (sf, tf) == ("tm", "pd") and sp == tp:
         f = factor_map_phi(*sp)
-        _, sx = tm_system(*sp, PHI_SOURCE_DEPTH)
-        _, sy = pd_system(*sp, 1)
-    elif (sf, tf) == ("pd", "sol") and tp[0] == sum(sp):
-        f = factor_map_psi(*sp)
-        _, sx = pd_system(*sp, 1)
-        _, sy = sol_system(*tp, 0)
-    elif (sf, tf) == ("tm", "sol") and tp[0] == sum(sp):
-        f = factor_map_psi_phi(*sp)
-        _, sx = tm_system(*sp, PHI_SOURCE_DEPTH)
-        _, sy = sol_system(*tp, 0)
+    elif (sf, tf) in (("pd", "sol"), ("tm", "sol")) and tp[0] == sum(sp):
+        f = (factor_map_psi if sf == "pd" else factor_map_psi_phi)(*sp)
     else:
         raise InvalidPath(f"no factor map from {source!r} to {target!r}")
+    # the self-maps of the complexes f is built on
+    _, sx = (tm_system(*sp, PHI_SOURCE_DEPTH) if sf == "tm"
+             else pd_system(*sp, 1))
+    _, sy = pd_system(*tp, 1) if tf == "pd" else sol_system(*tp, 0)
     return f, sx, sy
 
 
@@ -260,9 +265,7 @@ def absolute_cohomology_1d(name: str):
 
 def quotient_cohomology_1d(pair):
     """[H^0_Q, H^1_Q] for a connected pair of 1-D space names."""
-    f, sx, sy = factor_map_1d(*pair)
-    res = les_quotient(f, sx, sy)
-    return res["Q"]
+    return les_quotient(*factor_map_1d(*pair))["Q"]
 
 
 def _quotient_tower(f, self_x, k):

@@ -18,6 +18,7 @@ from .abelian import IntMatrix, is_primitive_matrix
 from .complexes import CellularMap, CochainComplex
 from .errors import (InvalidPath, NotBorderForcing, NotPrimitive,
                      NotWellDefined)
+from .subst1d import _legal_patches
 
 ARROWS = ("NE", "NW", "SE", "SW")
 Q_NW, Q_NE, Q_SW, Q_SE = (0, 1), (1, 1), (0, 0), (1, 0)
@@ -119,35 +120,28 @@ class Substitution2D:
             raise NotPrimitive("block substitution is not primitive")
 
     def legal(self, w, h):
-        """All legal w x h patches, as rows: seed from large supertiles,
-        close under inflation (stops when a pass adds nothing new)."""
+        """All legal w x h patches, as rows, sorted by repr: cut from the
+        legal max(w, h)-squares of the legal-patch closure."""
         key = (w, h)
-        if key in self._legal_cache:
-            return self._legal_cache[key]
-        self.require_primitive()
+        if key not in self._legal_cache:
+            self.require_primitive()
+            squares = _legal_patches([((t,),) for t in self.tiles],
+                                     self.inflate,
+                                     lambda p, m: _windows(p, m, m), 2,
+                                     max(w, h))
+            self._legal_cache[key] = sorted(
+                set().union(*(_windows(p, w, h) for p in squares)), key=repr)
+        return self._legal_cache[key]
 
-        def windows(rows):
-            # cuts[y][x0] is row y cut to [x0, x0 + w); zipping h
-            # consecutive rows of cuts yields the windows of that band
-            cuts = [[tuple(row[x0:x0 + w]) for x0 in range(len(row) - w + 1)]
-                    for row in rows]
-            return set().union(*(zip(*cuts[y0:y0 + h])
-                                 for y0 in range(len(cuts) - h + 1)))
 
-        found = set()
-        for t in self.tiles:
-            rows = [[t]]
-            while len(rows) < max(w, h) * 2:
-                rows = self.inflate(rows)
-            found |= windows(rows)
-        frontier = found
-        while frontier:
-            frontier = set().union(*map(windows, map(self.inflate, frontier)))
-            frontier -= found
-            found |= frontier
-        result = sorted(found, key=repr)
-        self._legal_cache[key] = result
-        return result
+def _windows(rows, w, h):
+    """The set of w x h windows of a patch given as rows."""
+    # cuts[y][x0] is row y cut to [x0, x0 + w); zipping h consecutive
+    # rows of cuts yields the windows of that band
+    cuts = [[tuple(row[x0:x0 + w]) for x0 in range(len(row) - w + 1)]
+            for row in rows]
+    return set().union(*(zip(*cuts[y0:y0 + h])
+                         for y0 in range(len(cuts) - h + 1)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,0 +1,20 @@
+"""Shared fixtures."""
+import pytest
+
+from tilecohom import subst1d, subst2d
+
+# the caches that hold complexes and cellular maps; a complex keeps its
+# cohomology groups and towers, and a tower its classification
+COMPLEX_AND_MAP_CACHES = (
+    (subst1d, ("tm_system", "pd_system", "sol_system", "factor_map_phi",
+               "factor_map_psi", "factor_map_psi_phi")),
+    (subst2d, ("_ap_complex_2d_depth", "factor_map_edge")))
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the complex and map caches, so that the test builds and
+    classifies every tower it reaches from a cold start."""
+    for module, names in COMPLEX_AND_MAP_CACHES:
+        for name in names:
+            getattr(module, name).cache_clear()

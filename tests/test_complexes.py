@@ -8,7 +8,7 @@ from tilecohom.complexes import (CellularMap, CochainComplex, cohomology,
                                  les_quotient, pullback, quotient_complex)
 from tilecohom.errors import (NotACochainMap, NotInjectiveOnCochains,
                               NotWellDefined)
-from tilecohom.limits import classify
+from tilecohom.limits import TowerGroup, classify
 
 
 def M(rows):
@@ -220,3 +220,51 @@ class TestQuotient:
         w = CellularMap(x, y, [M([[1]]), M([[2]])])
         with pytest.raises(NotWellDefined):
             quotient_complex(w)
+
+    def test_les_onto_lower_dimensional_target(self):
+        # the torus onto the one-cell circle: a -> e, b -> 0; H^2(Y) = 0
+        x, y = torus(), circle(1)
+        f = CellularMap(x, y, [M([[1]]), M([[1, 0]]), IntMatrix.zeros(0, 1)])
+        res = les_quotient(f, CellularMap.identity(x), CellularMap.identity(y))
+        assert [str(e) for e in res["Y"]] == ["Z", "Z", "0"]
+        assert [str(e) for e in res["X"]] == ["Z", "Z^2", "Z"]
+        assert [str(e) for e in res["Q"]] == ["0", "Z", "Z"]
+        assert res["Q"][2] == res["X"][2]
+        assert res["nodes"][-4:] == ["H^2(Y)", "H^2(X)", "H^2_Q", "0"]
+
+
+class TestTowerCache:
+    def _circle_doubling(self):
+        c = circle(1)
+        return c, CellularMap(c, c, [M([[1]]), M([[2]])])
+
+    def test_repeated_tower_is_the_same_object(self):
+        c, sm = self._circle_doubling()
+        for k in (0, 1):
+            assert cohomology_tower(c, sm, k) is cohomology_tower(c, sm, k)
+
+    def test_other_self_map_has_its_own_tower(self):
+        c, sm = self._circle_doubling()
+        sm2 = sm.compose(sm)
+        t, t2 = cohomology_tower(c, sm, 1), cohomology_tower(c, sm2, 1)
+        assert t is not t2
+        assert t.group is t2.group
+        assert t.endo.matrix == M([[2]]) and t2.endo.matrix == M([[4]])
+        assert classify(t) == classify(t2)
+        assert str(classify(t2)) == "Z[1/2]"
+
+    def test_classify_is_memoised(self):
+        c, sm = self._circle_doubling()
+        t = cohomology_tower(c, sm, 1)
+        first = classify(t)
+        assert t.limit is first
+        assert classify(t) is first
+        fresh = TowerGroup(t.group, t.endo)
+        assert fresh.limit is None
+        assert classify(fresh) == first
+
+    def test_clearing_cohomology_cache_drops_towers(self):
+        c, sm = self._circle_doubling()
+        t = cohomology_tower(c, sm, 1)
+        c._hcache.clear()
+        assert cohomology_tower(c, sm, 1) is not t

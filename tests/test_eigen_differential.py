@@ -50,6 +50,7 @@ def test_catalog_case_count():
     assert len(CASES) == 15 + 15 + 9 + 12 + 11
 
 
+@pytest.mark.usefixtures("cold_caches")
 @pytest.mark.parametrize("kind,arg", CASES, ids=[str(a) for _, a in CASES])
 def test_catalog_blocks_match_reference(monkeypatch, kind, arg):
     seen = []

@@ -6,7 +6,8 @@ lattice edge, adjacency list, descended rule and descent witness must come
 out identical; and the fact the index rests on (one enumeration of the
 legal (2r+2)-square master windows yields every smaller legal window the
 build uses) is checked directly.  The reference also keeps the former
-dict-patch `legal` and `border_forcing_check`, which must agree too.
+dict-patch `legal` and `border_forcing_check`, which must agree too: the
+legal-patch closure gives identical lists of windows, in the same order.
 """
 import pytest
 
@@ -43,9 +44,16 @@ def test_master_windows_hold_every_smaller_legal_window(r):
 
 
 @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 3),
-                                  (4, 3), (3, 4), (4, 4)])
+                                  (4, 3), (3, 4), (4, 4), (5, 5), (6, 6)])
 def test_legal_windows_identical(size):
     assert master_system().legal(*size) == ref.master_system().legal(*size)
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_scheme_legal_windows_identical(name):
+    new, old = descend_rule(name), ref.descend_rule(name)
+    for size in ((3, 3), (2, 1), (1, 2)):
+        assert new.legal(*size) == old.legal(*size), size
 
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)

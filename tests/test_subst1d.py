@@ -1,6 +1,8 @@
 """One-dimensional substitution systems, factor maps, quotients."""
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+import subst1d_reference as ref
 
 from tilecohom.catalog import (SpaceId, expected_1d_quotient,
                                expected_1d_space)
@@ -55,6 +57,49 @@ class TestSubstitutions:
     def test_solenoid_params(self):
         with pytest.raises(ValueError):
             solenoid_substitution(1)
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_legal_words_match_reference(k):
+    for l in range(1, 41):
+        for s in (tm_substitution(k, l), pd_substitution(k, l)):
+            for n in range(1, 6):
+                assert legal_words(s, n) == ref.legal_words(s, n), (k, l, n)
+
+
+@pytest.mark.parametrize("m", range(2, 21))
+def test_solenoid_legal_words_match_reference(m):
+    s = solenoid_substitution(m)
+    for n in range(1, 6):
+        assert legal_words(s, n) == ref.legal_words(s, n)
+
+
+@st.composite
+def expanding_substitutions(draw):
+    """Primitive substitutions on 2..3 letters with images of length 1..3,
+    so that some need a power with longer images."""
+    alphabet = tuple("abc"[:draw(st.integers(2, 3))])
+    s = Substitution1D(alphabet, {a: tuple(draw(st.lists(
+        st.sampled_from(alphabet), min_size=1, max_size=3))) for a in alphabet})
+    assume(s.is_primitive())
+    return s
+
+
+@settings(max_examples=200, deadline=None)
+@given(expanding_substitutions(), st.integers(1, 6))
+def test_random_legal_words_match_reference(s, n):
+    assert legal_words(s, n) == ref.legal_words(s, n)
+
+
+def test_fibonacci_legal_words_match_reference():
+    fib = Substitution1D("ab", {"a": "ab", "b": "a"})
+    for n in range(1, 10):
+        assert legal_words(fib, n) == ref.legal_words(fib, n)
+
+
+def test_one_letter_substitution_must_expand():
+    with pytest.raises(ValueError):
+        legal_words(Substitution1D("a", {"a": "a"}), 1)
 
 
 class TestComplexes:
