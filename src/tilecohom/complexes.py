@@ -12,7 +12,7 @@ from .abelian import (FgAbGroup, GroupHom, IntMatrix, _axpy, kernel_basis,
                       rank, solve_matrix)
 from .errors import (HypothesisFailed, NotACochainMap,
                      NotInjectiveOnCochains, NotWellDefined)
-from .limits import (TowerGroup, classify, eventual_restriction, limit_les,
+from .limits import (TowerGroup, _dies_in_limit, classify, limit_les,
                      subquotient_tower)
 
 
@@ -435,8 +435,8 @@ def lemma1_shortcut(f: CellularMap, self_x: CellularMap, self_y: CellularMap,
     """(H^0_Q = 0 verdict, top quotient group) without the full sequence.
 
     Valid when H^{n+1}(Y) vanishes in the limit: then H^0_Q = 0 iff the
-    pullback on H^1 is injective in the limit, and H^n_Q is the cokernel of
-    the pullback on H^n.
+    pullback on H^1 is injective in the limit (the stage is tried first),
+    and H^n_Q is the cokernel of the pullback on H^n.
     """
     x, y = f.source, f.target
     if n is None:
@@ -454,8 +454,7 @@ def lemma1_shortcut(f: CellularMap, self_x: CellularMap, self_y: CellularMap,
         h0q_zero = True
     else:
         h = hom_on_cohomology(pb[1], ty1.group, tx1.group)
-        ker_tower = subquotient_tower(ty1, h.kernel_gens(), ty1.group.rel)
-        h0q_zero = eventual_restriction(ker_tower).group.is_trivial()
+        h0q_zero = _dies_in_limit(ty1, h.kernel_gens(), ty1.group.rel)
     # top quotient group = coker of the pullback on H^n in the limit
     tyn = cohomology_tower(y, self_y, n) if n <= y.dimension else None
     txn = cohomology_tower(x, self_x, n)

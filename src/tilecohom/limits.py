@@ -174,11 +174,12 @@ def subquotient_tower(t: TowerGroup, sub: IntMatrix, rel: IntMatrix) -> TowerGro
 def eventual_restriction(t: TowerGroup) -> TowerGroup:
     """Cofinal sub-tower on which the endomorphism is injective.
 
-    Iterates the endomorphism, restricting to the image subgroup, until the
-    induced self-map is injective; the direct limit is unchanged.
+    That is t itself when t is trivial or its endomorphism injective, else
+    the image of the first power whose induced self-map is injective; the
+    direct limit is unchanged.
     """
     g, s = t.group, t.endo.matrix
-    if g.ngens == 0:
+    if g.is_trivial() or t.endo.is_injective():
         return t
     torsion_bits = sum(d.bit_length() for d in g.invariants if d > 1)
     cap = g.ngens + torsion_bits + 4
@@ -189,6 +190,12 @@ def eventual_restriction(t: TowerGroup) -> TowerGroup:
             return sub
         power = s * power
     raise Unclassified("eventual image did not stabilize")  # unreachable
+
+
+def _dies_in_limit(t: TowerGroup, sub: IntMatrix, rel: IntMatrix) -> bool:
+    """Whether sub/rel dies in t's limit: at once if sub <= rel already."""
+    return solve_matrix(rel, sub) is not None or eventual_restriction(
+        subquotient_tower(t, sub, rel)).group.is_trivial()
 
 
 def _canonical_blocks(g: FgAbGroup, s: IntMatrix):
@@ -288,7 +295,7 @@ def classify(t: TowerGroup) -> GroupExpr:
 def _classify(t: TowerGroup) -> GroupExpr:
     rt = eventual_restriction(t)
     g = rt.group
-    if g.ngens == 0 or g.is_trivial():
+    if g.is_trivial():
         return GroupExpr()
     torsion, _b_tt, _b_tf, b_ff = _canonical_blocks(g, rt.endo.matrix)
     f = b_ff.rows
@@ -408,8 +415,8 @@ def limit_les(terms, maps, names=None):
     """Classify each tower and certify exactness of the sequence in the limit.
 
     `maps[i]` goes from terms[i] to terms[i+1]; each must commute with the
-    self-maps.  Exactness at an interior node holds iff the defect group
-    ker/im dies in the limit (its eventual image is trivial).
+    self-maps.  Exactness at a node holds iff the defect ker/im dies in the
+    limit, which the finite stage decides first (see _dies_in_limit).
     """
     if len(maps) != len(terms) - 1:
         raise ValueError("need exactly one map between consecutive terms")
@@ -430,8 +437,7 @@ def limit_les(terms, maps, names=None):
         ker = (maps[i].kernel_gens() if i < len(maps)
                else IntMatrix.identity(t.group.ngens).hstack(rel))
         im = maps[i - 1].matrix.hstack(rel) if i > 0 else rel
-        defect = subquotient_tower(t, ker, im)
-        if not eventual_restriction(defect).group.is_trivial():
+        if not _dies_in_limit(t, ker, im):
             node = names[i] if names else i
             raise ExactnessFailure(f"sequence is not exact at node {node}",
                                    node=node)

@@ -268,14 +268,18 @@ def descend_rule(scheme) -> Substitution2D:
     rule descends tile-by-tile the prototiles are plain coarsened tiles;
     for the named schemes where only the collared rule descends, the
     prototiles are once-collared classes.  A coarsening to which the rule
-    does not descend at all raises NotWellDefined with a witness pair.
+    does not descend at all raises NotWellDefined with a witness pair.  A
+    named scheme's rule is built once, so its legal patches are kept.
     """
-    if callable(scheme):
-        sysd = _quotient(scheme, 0)
-    elif _tile_descends(scheme):
-        sysd = _collared_system(scheme, 0)
-    else:
-        sysd = _collared_system(scheme, 1)
+    return _rule(_quotient(scheme, 0)) if callable(scheme) else _named_rule(scheme)
+
+
+@functools.lru_cache(maxsize=None)
+def _named_rule(name: str) -> Substitution2D:
+    return _rule(_collared_system(name, 0 if _tile_descends(name) else 1))
+
+
+def _rule(sysd) -> Substitution2D:
     classes = sysd["classes"]
     if sysd["r"] == 0:
         classes = [c[0][0] for c in classes]

@@ -1,16 +1,22 @@
-"""Reference sympy integer eigenvalues, radical and splitting check.
+"""Reference sympy integer eigenvalues, radical and splitting check, and
+the limit layer without its finite-stage shortcuts.
 
 These are the sympy-based `_integer_eigenvalues`, `radical` and
 `_blocks_split` that the Berkowitz characteristic polynomial with a bounded
 integer-root search, the trial-division radical and the SNF-coefficient
-splitting check in `tilecohom.limits` replaced, kept verbatim so the
-differential tests can compare the two.  Test-only code.
+splitting check in `tilecohom.limits` replaced, and the `eventual_restriction`
+(which always restricts to an image) and `limit_les` (which builds a defect
+tower at every node) that the finite-stage tests replaced, kept verbatim so
+the differential tests can compare the two.  Test-only code.
 """
 from __future__ import annotations
 
 import sympy
 
-from tilecohom.abelian import IntMatrix, snf
+from tilecohom import limits
+from tilecohom.abelian import IntMatrix, snf, solve_matrix
+from tilecohom.errors import ExactnessFailure, NotACochainMap, Unclassified
+from tilecohom.limits import GroupExpr, TowerGroup, subquotient_tower
 
 
 def radical(n: int) -> int:
@@ -87,3 +93,65 @@ def _blocks_split(blocks) -> bool:
             if involved > 1:
                 return False
     return True
+
+
+def eventual_restriction(t: TowerGroup) -> TowerGroup:
+    """Cofinal sub-tower on which the endomorphism is injective.
+
+    Iterates the endomorphism, restricting to the image subgroup, until the
+    induced self-map is injective; the direct limit is unchanged.
+    """
+    g, s = t.group, t.endo.matrix
+    if g.ngens == 0:
+        return t
+    torsion_bits = sum(d.bit_length() for d in g.invariants if d > 1)
+    cap = g.ngens + torsion_bits + 4
+    power = s
+    for _ in range(cap + 1):
+        sub = subquotient_tower(t, power.hstack(g.rel), g.rel)
+        if sub.endo.is_injective():
+            return sub
+        power = s * power
+    raise Unclassified("eventual image did not stabilize")  # unreachable
+
+
+def classify(t: TowerGroup) -> GroupExpr:
+    """The classification as `limits.classify` made it on the reference's
+    restriction: `limits._classify` keeps that tower as it is, because its
+    endomorphism is injective.  Nothing is memoised.  An unclassified
+    payload carries the restricted tower, so compare renderings."""
+    return limits._classify(eventual_restriction(t))
+
+
+def limit_les(terms, maps, names=None):
+    """Classify each tower and certify exactness of the sequence in the limit.
+
+    `maps[i]` goes from terms[i] to terms[i+1]; each must commute with the
+    self-maps.  Exactness at an interior node holds iff the defect group
+    ker/im dies in the limit (its eventual image is trivial).
+    """
+    if len(maps) != len(terms) - 1:
+        raise ValueError("need exactly one map between consecutive terms")
+    for i, h in enumerate(maps):
+        left = h.matrix * terms[i].endo.matrix
+        right = terms[i + 1].endo.matrix * h.matrix
+        if solve_matrix(terms[i + 1].group.rel, left - right) is None:
+            raise NotACochainMap(f"map {i} does not commute with the self-maps")
+    for i in range(1, len(terms) - 1):
+        comp = maps[i].compose(maps[i - 1])
+        if not comp.is_zero():
+            node = names[i] if names else i
+            raise ExactnessFailure(f"composite through node {node} is nonzero",
+                                   node=node)
+    for i, t in enumerate(terms):
+        # the defect ker(outgoing)/im(incoming) must die in the limit
+        rel = t.group.rel
+        ker = (maps[i].kernel_gens() if i < len(maps)
+               else IntMatrix.identity(t.group.ngens).hstack(rel))
+        im = maps[i - 1].matrix.hstack(rel) if i > 0 else rel
+        defect = subquotient_tower(t, ker, im)
+        if not eventual_restriction(defect).group.is_trivial():
+            node = names[i] if names else i
+            raise ExactnessFailure(f"sequence is not exact at node {node}",
+                                   node=node)
+    return [classify(t) for t in terms]

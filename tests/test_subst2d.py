@@ -1,6 +1,7 @@
 """Decorated block-substitution family: rules, complexes, factor maps."""
 import pytest
 
+from tilecohom import subst2d
 from tilecohom.errors import (InvalidPath, NotBorderForcing, NotWellDefined)
 from tilecohom.catalog import FactorPath, compute_path
 from tilecohom.limits import GroupExpr, classify, iso_check
@@ -97,6 +98,30 @@ class TestBorderForcing:
         assert collar_depth("0,0", "forced") == 1
         with pytest.raises(NotBorderForcing):
             collar_depth("X,+", "off")
+
+    @pytest.mark.usefixtures("cold_caches")
+    def test_repeat_check_enumerates_no_patches(self, monkeypatch):
+        # a named scheme's descended rule is built once, so its legal 3x3
+        # patches are enumerated by the first check only
+        border_forcing_check("X,0")
+        calls = []
+        original = subst2d._legal_patches
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(subst2d, "_legal_patches", counting)
+        assert border_forcing_check("X,0") is None
+        assert descend_rule("X,0") is descend_rule("X,0")
+        assert calls == []
+        # the values are those of the rebuilt rules, and a second round
+        # over all nine schemes enumerates nothing either
+        expected = {s: 1 if s == "0,0" else None for s in SCHEME_NAMES}
+        assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
+        calls.clear()
+        assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
+        assert calls == []
 
 
 class TestComplexes:
