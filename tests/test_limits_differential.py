@@ -18,7 +18,8 @@ import limits_reference as ref
 from test_eigen_differential import CASES, run_case
 from tilecohom import complexes, limits
 from tilecohom.abelian import FgAbGroup, GroupHom, IntMatrix, solve_matrix
-from tilecohom.catalog import catalog_factor_maps, compute_quotient, compute_space
+from tilecohom.catalog import (catalog_factor_maps, compute_quotient,
+                               compute_space)
 from tilecohom.complexes import lemma1_shortcut, les_quotient
 from tilecohom.errors import ExactnessFailure
 from tilecohom.limits import TowerGroup, subquotient_tower
@@ -44,6 +45,22 @@ def recorded(monkeypatch, run):
     run()
     monkeypatch.undo()
     return sequences, defects
+
+
+def recorded_towers(monkeypatch, run):
+    """Every tower that run() asks classify about."""
+    seen = []
+    original = limits._classify
+
+    def recording(t):
+        seen.append(t)
+        return original(t)
+
+    monkeypatch.setattr(limits, "_classify", recording)
+    run()
+    monkeypatch.undo()
+    assert seen
+    return seen
 
 
 def outcome(les, terms, maps, names=None):
@@ -79,22 +96,6 @@ def test_catalog_sequences_match_reference(monkeypatch, kind, arg):
                 ref.classify(t).render()
         return
     assert_same(*recorded(monkeypatch, lambda: run_case(kind, arg)))
-
-
-def recorded_towers(monkeypatch, run):
-    """Every tower that run() asks classify about."""
-    seen = []
-    original = limits._classify
-
-    def recording(t):
-        seen.append(t)
-        return original(t)
-
-    monkeypatch.setattr(limits, "_classify", recording)
-    run()
-    monkeypatch.undo()
-    assert seen
-    return seen
 
 
 @pytest.mark.usefixtures("cold_caches")
