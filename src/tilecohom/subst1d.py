@@ -9,6 +9,8 @@ and the three-term exact sequence relating the quotients over the solenoid.
 from __future__ import annotations
 
 import functools
+from collections import Counter
+from itertools import chain
 
 from .abelian import IntMatrix, is_primitive_matrix
 from .complexes import (CellularMap, CochainComplex,
@@ -23,22 +25,30 @@ class Substitution1D:
 
     def __init__(self, alphabet, rule):
         self.alphabet = tuple(alphabet)
-        self.rule = {a: tuple(rule[a]) for a in self.alphabet}
+        if len(set(self.alphabet)) < len(self.alphabet):
+            raise ValueError(f"repeated letter in alphabet {self.alphabet!r}")
+        self.rule = {a: tuple(rule.get(a, ())) for a in self.alphabet}
         for a, w in self.rule.items():
-            if not w:
-                raise ValueError(f"empty image for {a!r}")
+            if not w or not self.rule.keys() >= set(w):
+                raise ValueError(f"image of {a!r} is missing, empty or "
+                                 "leaves the alphabet")
+        self._windows = {}
 
     def apply(self, word):
-        return tuple(c for a in word for c in self.rule[a])
+        return tuple(chain.from_iterable(map(self.rule.__getitem__, word)))
+
+    def _letter_windows(self, m):
+        """Per-letter table, built once per m: the m-words inside each
+        letter's image, counted."""
+        if m not in self._windows:
+            self._windows[m] = {a: Counter([w[i:i + m] for i in range(
+                len(w) - m + 1)]) for a, w in self.rule.items()}
+        return self._windows[m]
 
     def matrix(self) -> IntMatrix:
-        n = len(self.alphabet)
         idx = {a: i for i, a in enumerate(self.alphabet)}
-        m = [[0] * n for _ in range(n)]
-        for a in self.alphabet:
-            for c in self.rule[a]:
-                m[idx[c]][idx[a]] += 1
-        return IntMatrix.from_rows(m)
+        return IntMatrix.from_entries(len(idx), len(idx), Counter(
+            (idx[c], idx[a]) for a, w in self.rule.items() for c in w))
 
     def is_primitive(self) -> bool:
         return is_primitive_matrix(self.matrix())
@@ -71,26 +81,27 @@ def solenoid_substitution(m: int) -> Substitution1D:
     return Substitution1D(("s",), {"s": ("s",) * m})
 
 
-def _legal_patches(tiles, image, windows, stretch, n):
+def _legal_patches(tiles, image_windows, stretch, n):
     """The set of legal n-patches: n-words in 1-D, n x n squares in 2-D.
 
-    `tiles` are the one-tile patches, `image(p)` the substituted patch p,
-    `windows(p, m)` the m-patches in p, and `stretch` >= 2 the least factor
-    by which `image` lengthens a side.  A legal 2-patch lies in the image
-    of a tile or of a legal 2-patch, a legal m'-patch, m' <= (m - 1) *
-    stretch + 1, in the image of a legal m-patch (Anderson-Putnam, ETDS 18,
-    1998)."""
-    found = set().union(*(windows(image(t), 2) for t in tiles))
+    `tiles` are the one-tile patches (all legal), `image_windows(p, m)`
+    the m-patches in the image of p, `stretch` >= 2 the least factor by
+    which the substitution lengthens a side.  A legal 2-patch lies in the
+    image of a tile or of a legal 2-patch, a legal m'-patch, m' <= (m-1) *
+    stretch + 1, in that of a legal m-patch (Anderson-Putnam, ETDS 18)."""
+    if n < 2:
+        return set(tiles)
+    found = set().union(*(image_windows(t, 2) for t in tiles))
     frontier = found
     while frontier:
-        frontier = set().union(*(windows(image(p), 2)
+        frontier = set().union(*(image_windows(p, 2)
                                  for p in frontier)) - found
         found |= frontier
     m = 2
     while m < n:
         m = min(n, (m - 1) * stretch + 1)
-        found = set().union(*(windows(image(p), m) for p in found))
-    return found if n >= 2 else set().union(*(windows(p, n) for p in found))
+        found = set().union(*(image_windows(p, m) for p in found))
+    return found
 
 
 def legal_words(s: Substitution1D, n: int) -> set:
@@ -99,16 +110,26 @@ def legal_words(s: Substitution1D, n: int) -> set:
     if n < 1:
         raise ValueError("n >= 1 required")
     # a power of s with every image of length >= 2 has the same language
-    rule = s.rule
-    while min(map(len, rule.values())) < 2:
-        if len(rule) == 1:
+    t = s
+    while min(map(len, t.rule.values())) < 2:
+        if len(t.rule) == 1:
             raise ValueError("a one-letter substitution must expand")
-        rule = {a: s.apply(w) for a, w in rule.items()}
-    return _legal_patches([(a,) for a in s.alphabet],
-                          lambda w: tuple(c for a in w for c in rule[a]),
-                          lambda w, m: {w[i:i + m]
-                                        for i in range(len(w) - m + 1)},
-                          min(map(len, rule.values())), n)
+        t = Substitution1D(s.alphabet, {a: s.apply(w)
+                                        for a, w in t.rule.items()})
+
+    def image_windows(w, m):
+        # words inside an image come from its table; those leaving it are cut
+        img, end = t.apply(w), 0
+        found = set().union(*map(t._letter_windows(m).__getitem__, w))
+        for a in w:
+            start, end = end, end + len(t.rule[a])
+            for i in range(max(start, end - m + 1),
+                           min(end, len(img) - m + 1)):
+                found.add(img[i:i + m])
+        return found
+
+    return _legal_patches([(a,) for a in s.alphabet], image_windows,
+                          min(map(len, t.rule.values())), n)
 
 
 def ap_complex_1d(s: Substitution1D, depth: int = 1):
@@ -116,9 +137,11 @@ def ap_complex_1d(s: Substitution1D, depth: int = 1):
 
     Edges are legal (2*depth+1)-words (the middle letter with `depth`
     letters of context on each side); vertices are legal 2*depth-words, or
-    a single vertex at depth 0.  Edges are oriented left to right.
+    a single vertex at depth 0.  Edges are oriented left to right.  Edge
+    e goes to the edges centred in s(e[depth]): at the interior offsets
+    depth <= t < |s(e[depth])| - depth they come from the per-letter table,
+    the <= 2*depth others are cut at the boundaries with the collars' images.
     """
-    s.require_primitive()
     r = depth
     edges = sorted(legal_words(s, 2 * r + 1))
     # every legal word extends to the right, so the 2r-words are edge
@@ -134,17 +157,21 @@ def ap_complex_1d(s: Substitution1D, depth: int = 1):
     cx = CochainComplex([vertices, edges], [
         IntMatrix.from_entries(len(edges), len(vertices), d0)])
 
-    f0 = {}
-    for j, v in enumerate(vertices):
-        img = s.apply(v)
-        c = len(s.apply(v[:r]))
-        f0[vi[img[c - r:c + r]], j] = 1
+    def collared(left, middle, right):
+        img = s.apply(left)
+        return img[len(img) - r:] + middle + s.apply(right)[:r]
+
+    f0 = {(vi[collared(v[:r], (), v[r:])], j): 1
+          for j, v in enumerate(vertices)}
+    inside = s._letter_windows(2 * r + 1)
     f1 = {}
     for j, e in enumerate(edges):
-        img = s.apply(e)
-        off = len(s.apply(e[:r]))
-        for t in range(len(s.rule[e[r]])):
-            at = ei[img[off + t - r:off + t + r + 1]], j
+        c = s.rule[e[r]]
+        f1.update(((ei[w], j), x) for w, x in inside[e[r]].items())
+        ctx = collared(e[:r], c, e[r + 1:])
+        for t in chain(range(min(r, len(c))), range(max(r, len(c) - r),
+                                                    len(c))):
+            at = ei[ctx[t:t + 2 * r + 1]], j
             f1[at] = f1.get(at, 0) + 1
     self_map = CellularMap(cx, cx, [
         IntMatrix.from_entries(len(vertices), len(vertices), f0),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 
 from .abelian import IntMatrix, is_primitive_matrix
 from .complexes import CellularMap, CochainComplex
@@ -105,12 +106,9 @@ class Substitution2D:
 
     def matrix(self) -> IntMatrix:
         idx = {t: i for i, t in enumerate(self.tiles)}
-        n = len(self.tiles)
-        m = [[0] * n for _ in range(n)]
-        for t in self.tiles:
-            for child in self.rule[t].values():
-                m[idx[child]][idx[t]] += 1
-        return IntMatrix.from_rows(m)
+        return IntMatrix.from_entries(len(idx), len(idx), Counter(
+            (idx[c], idx[t]) for t, blk in self.rule.items()
+            for c in blk.values()))
 
     def is_primitive(self) -> bool:
         return is_primitive_matrix(self.matrix())
@@ -125,10 +123,9 @@ class Substitution2D:
         key = (w, h)
         if key not in self._legal_cache:
             self.require_primitive()
-            squares = _legal_patches([((t,),) for t in self.tiles],
-                                     self.inflate,
-                                     lambda p, m: _windows(p, m, m), 2,
-                                     max(w, h))
+            squares = _legal_patches(
+                [((t,),) for t in self.tiles],
+                lambda p, m: _windows(self.inflate(p), m, m), 2, max(w, h))
             self._legal_cache[key] = sorted(
                 set().union(*(_windows(p, w, h) for p in squares)), key=repr)
         return self._legal_cache[key]
@@ -279,6 +276,12 @@ def _named_rule(name: str) -> Substitution2D:
     return _rule(_collared_system(name, 0 if _tile_descends(name) else 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _named_border_forcing(name: str, max_power: int):
+    return (_forcing_power(descend_rule(name), max_power)
+            if _tile_descends(name) else None)
+
+
 def _rule(sysd) -> Substitution2D:
     classes = sysd["classes"]
     if sysd["r"] == 0:
@@ -308,16 +311,16 @@ def border_forcing_check(scheme, max_power: int = 4):
     """Smallest k <= max_power such that k-fold inflation of a prototile
     determines the ring of tiles around its supertile, or None.
 
-    For a scheme name the check runs on the tile-level quotient rule; if
-    the rule only descends to collared prototiles the scheme cannot be
-    built uncollared and the check reports None.
+    For a scheme name the check runs on the tile-level quotient rule, once
+    per max_power; if the rule only descends to collared prototiles the
+    scheme cannot be built uncollared and the check reports None.
     """
-    if isinstance(scheme, Substitution2D):
-        sub = scheme
-    else:
-        if not _tile_descends(scheme):
-            return None
-        sub = descend_rule(scheme)
+    if not isinstance(scheme, Substitution2D):
+        return _named_border_forcing(scheme, max_power)
+    return _forcing_power(scheme, max_power)
+
+
+def _forcing_power(sub, max_power):
     legal3 = sub.legal(3, 3)
     for k in range(1, max_power + 1):
         lo, hi = 2 ** k - 1, 2 ** (k + 1)

@@ -1,10 +1,15 @@
-"""Reference 1-D legal-word enumeration.
+"""Reference 1-D legal-word enumeration and collared complex.
 
-This is the supertile-seeded `legal_words` that the legal-patch closure in
-`tilecohom.subst1d` replaced, kept verbatim so the differential tests can
-demand identical word sets.  Test-only code.
+`legal_words` is the supertile-seeded enumeration that the legal-patch
+closure in `tilecohom.subst1d` replaced, and `ap_complex_1d` the builder
+that cut every window of a collared cell's whole image before the
+per-letter image tables.  Both are kept verbatim so the differential tests
+can demand identical word sets, complexes and self-maps.  Test-only code.
 """
 from __future__ import annotations
+
+from tilecohom.abelian import IntMatrix
+from tilecohom.complexes import CellularMap, CochainComplex
 
 
 def legal_words(s, n: int) -> set:
@@ -32,3 +37,44 @@ def legal_words(s, n: int) -> set:
                     new.add(f)
         frontier = new
     return found
+
+
+def ap_complex_1d(s: Substitution1D, depth: int = 1):
+    """Collared complex and substitution self-map at the given collar depth.
+
+    Edges are legal (2*depth+1)-words (the middle letter with `depth`
+    letters of context on each side); vertices are legal 2*depth-words, or
+    a single vertex at depth 0.  Edges are oriented left to right.
+    """
+    s.require_primitive()
+    r = depth
+    edges = sorted(legal_words(s, 2 * r + 1))
+    # every legal word extends to the right, so the 2r-words are edge
+    # heads; at depth 0 the one head is the empty word
+    vertices = sorted({e[:-1] for e in edges})
+    vi = {v: i for i, v in enumerate(vertices)}
+    ei = {e: i for i, e in enumerate(edges)}
+    d0 = {}
+    for i, e in enumerate(edges):
+        # at depth 0, head and tail are the one vertex () and cancel
+        for v, sign in ((e[1:], 1), (e[:-1], -1)):
+            d0[i, vi[v]] = d0.get((i, vi[v]), 0) + sign
+    cx = CochainComplex([vertices, edges], [
+        IntMatrix.from_entries(len(edges), len(vertices), d0)])
+
+    f0 = {}
+    for j, v in enumerate(vertices):
+        img = s.apply(v)
+        c = len(s.apply(v[:r]))
+        f0[vi[img[c - r:c + r]], j] = 1
+    f1 = {}
+    for j, e in enumerate(edges):
+        img = s.apply(e)
+        off = len(s.apply(e[:r]))
+        for t in range(len(s.rule[e[r]])):
+            at = ei[img[off + t - r:off + t + r + 1]], j
+            f1[at] = f1.get(at, 0) + 1
+    self_map = CellularMap(cx, cx, [
+        IntMatrix.from_entries(len(vertices), len(vertices), f0),
+        IntMatrix.from_entries(len(edges), len(edges), f1)])
+    return cx, self_map

@@ -58,6 +58,17 @@ class TestSubstitutions:
         with pytest.raises(ValueError):
             solenoid_substitution(1)
 
+    @pytest.mark.parametrize("alphabet, rule", [
+        ("ab", {"a": "ac", "b": "a"}),   # an image letter outside the alphabet
+        ("ab", {"a": "ab"}),             # no image for b
+        ("aab", {"a": "ab", "b": "a"}),  # a repeated alphabet letter
+    ])
+    def test_malformed_rule(self, alphabet, rule):
+        # these used to raise a bare KeyError, or to pass and report a
+        # misleading NotPrimitive later
+        with pytest.raises(ValueError):
+            Substitution1D(alphabet, rule)
+
 
 @pytest.mark.parametrize("k", range(1, 41))
 def test_legal_words_match_reference(k):
@@ -75,12 +86,13 @@ def test_solenoid_legal_words_match_reference(m):
 
 
 @st.composite
-def expanding_substitutions(draw):
-    """Primitive substitutions on 2..3 letters with images of length 1..3,
-    so that some need a power with longer images."""
+def expanding_substitutions(draw, max_len=3):
+    """Primitive substitutions on 2..3 letters with images of length
+    1..max_len, so that some need a power with longer images."""
     alphabet = tuple("abc"[:draw(st.integers(2, 3))])
     s = Substitution1D(alphabet, {a: tuple(draw(st.lists(
-        st.sampled_from(alphabet), min_size=1, max_size=3))) for a in alphabet})
+        st.sampled_from(alphabet), min_size=1, max_size=max_len)))
+        for a in alphabet})
     assume(s.is_primitive())
     return s
 
@@ -95,6 +107,40 @@ def test_fibonacci_legal_words_match_reference():
     fib = Substitution1D("ab", {"a": "ab", "b": "a"})
     for n in range(1, 10):
         assert legal_words(fib, n) == ref.legal_words(fib, n)
+
+
+def complex_signature(cx, sm):
+    """The dump of a complex and every coboundary and self-map matrix."""
+    return cx.dump(), [m.to_rows() for m in (*cx.delta, *sm.chain)]
+
+
+@pytest.mark.parametrize("k", range(1, 41, 3))
+def test_complex_matches_reference(k):
+    # every image of length k + l is cut into interior windows from the
+    # per-letter table and boundary windows at the collar
+    for l in range(1, 41, 4):
+        for s in (tm_substitution(k, l), pd_substitution(k, l)):
+            for r in range(4):
+                assert (complex_signature(*ap_complex_1d(s, r))
+                        == complex_signature(*ref.ap_complex_1d(s, r))), \
+                    (k, l, r)
+
+
+@pytest.mark.parametrize("s", [solenoid_substitution(m) for m in range(2, 21)]
+                         + [Substitution1D("ab", {"a": "ab", "b": "a"})])
+def test_solenoid_and_fibonacci_complexes_match_reference(s):
+    for r in range(4):
+        assert (complex_signature(*ap_complex_1d(s, r))
+                == complex_signature(*ref.ap_complex_1d(s, r))), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(expanding_substitutions(max_len=4), st.integers(0, 3))
+def test_random_complexes_match_reference(s, r):
+    # images of length 1..4 are often shorter than the 2r+1 window, so
+    # every window of such an image is a boundary window
+    assert (complex_signature(*ap_complex_1d(s, r))
+            == complex_signature(*ref.ap_complex_1d(s, r)))
 
 
 def test_one_letter_substitution_must_expand():

@@ -123,6 +123,32 @@ class TestBorderForcing:
         assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
         assert calls == []
 
+    @pytest.mark.usefixtures("cold_caches")
+    def test_repeat_check_inflates_nothing(self, monkeypatch):
+        # a scheme name's answer is kept: after the first check, neither a
+        # second check nor an auto collar choice inflates a patch
+        calls = []
+        original = Substitution2D.inflate
+
+        def counting(self, rows):
+            calls.append(rows)
+            return original(self, rows)
+
+        monkeypatch.setattr(Substitution2D, "inflate", counting)
+        assert border_forcing_check("X,0") is None
+        assert calls
+        calls.clear()
+        assert border_forcing_check("X,0") is None
+        assert collar_depth("X,0", "auto") == 1
+        assert calls == []
+        expected = {s: 1 if s == "0,0" else None for s in SCHEME_NAMES}
+        assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
+        calls.clear()
+        assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
+        assert {s: collar_depth(s, "auto") for s in SCHEME_NAMES} == {
+            s: 0 if s == "0,0" else 1 for s in SCHEME_NAMES}
+        assert calls == []
+
 
 class TestComplexes:
     def test_trivial_scheme_is_torus(self):
