@@ -16,11 +16,21 @@ from .limits import (TowerGroup, _dies_in_limit, classify, limit_les,
                      subquotient_tower)
 
 
-class CochainComplex:
-    """Free cochain complex on named cells, degrees 0..dimension (<= 2)."""
+# One entry per distinct content (cells and coboundaries), shared by every
+# CochainComplex built with it: the reduction under "reduced", H^k under k,
+# the tower of a self-map under (self_map, k), and the quotient complex of a
+# factor map onto a target under (target content, chain matrices).
+_complexes = {}
 
-    __slots__ = ("cells", "delta", "dimension", "_index", "_hcache",
-                 "_reduced")
+
+class CochainComplex:
+    """Free cochain complex on named cells, degrees 0..dimension (<= 2).
+
+    `_hcache` is the entry of its content in `_complexes`; delta o delta = 0
+    is checked when a content is first seen.
+    """
+
+    __slots__ = ("cells", "delta", "dimension", "_index", "_key", "_hcache")
 
     def __init__(self, cells, delta):
         self.cells = [list(c) for c in cells]
@@ -33,12 +43,15 @@ class CochainComplex:
         for k, d in enumerate(self.delta):
             if d.rows != len(self.cells[k + 1]) or d.cols != len(self.cells[k]):
                 raise ValueError(f"coboundary {k} has wrong shape")
-        for k in range(self.dimension - 1):
-            if not (self.delta[k + 1] * self.delta[k]).is_zero():
-                raise ValueError(f"delta o delta != 0 at degree {k}")
+        self._key = (tuple(map(tuple, self.cells)), tuple(self.delta))
+        entry = _complexes.get(self._key)
+        if entry is None:
+            for k in range(self.dimension - 1):
+                if not (self.delta[k + 1] * self.delta[k]).is_zero():
+                    raise ValueError(f"delta o delta != 0 at degree {k}")
+            entry = _complexes[self._key] = {}
         self._index = [{c: i for i, c in enumerate(cs)} for cs in self.cells]
-        self._hcache = {}
-        self._reduced = None
+        self._hcache = entry
 
     def n_cells(self, k):
         return len(self.cells[k]) if 0 <= k <= self.dimension else 0
@@ -70,7 +83,8 @@ class CochainComplex:
 
 
 def _reduce(c: CochainComplex):
-    """(reduced complex, iota, pi) of c by unit-pivot elimination, cached.
+    """(reduced complex, iota, pi) of c by unit-pivot elimination, kept in
+    c's content entry.
 
     Each step removes a pair a in C^k, b in C^(k+1) with delta_k[b, a] = s
     = +-1.  With u = delta_k[b, !=a] and w = delta_k[!=b, a], delta_k
@@ -87,8 +101,9 @@ def _reduce(c: CochainComplex):
     nonzeros, ties to the smaller index.  That keeps the fill-in low and
     the result a function of c alone.
     """
-    if c._reduced is not None:
-        return c._reduced
+    cached = c._hcache.get("reduced")
+    if cached is not None:
+        return cached
     dim = c.dimension
     rows = [dict(enumerate(map(dict, d.sparse_rows))) for d in c.delta]
     cols = [{a: set() for a in range(d.cols)} for d in c.delta]
@@ -154,8 +169,8 @@ def _reduce(c: CochainComplex):
         for k, kp in enumerate(keep)]
     red = CochainComplex([[c.cells[k][i] for i in kp]
                           for k, kp in enumerate(keep)], deltas)
-    c._reduced = (red, iotas, pis)
-    return c._reduced
+    c._hcache["reduced"] = red, iotas, pis
+    return red, iotas, pis
 
 
 def cohomology(c: CochainComplex, k: int) -> FgAbGroup:
@@ -286,7 +301,7 @@ def pullback(f: CellularMap, require_injective: bool = False):
 
 def cohomology_tower(c: CochainComplex, self_map: CellularMap, k: int) -> TowerGroup:
     """H^k(c) with the endomorphism induced by the self-map's pullback,
-    kept with H^k in c's cohomology cache under the key (self_map, k)."""
+    kept with H^k in c's content entry under the key (self_map, k)."""
     h = cohomology(c, k)
     t = c._hcache.get((self_map, k))
     if t is None:
@@ -325,8 +340,14 @@ class QuotientComplex:
 
 
 def quotient_complex(f: CellularMap) -> QuotientComplex:
-    """Quotient cochain complex of a factor map (one target cell per source cell)."""
+    """Quotient cochain complex of a factor map (one target cell per source
+    cell), kept in the source's content entry under the target's content
+    and f's chain matrices, so its checks run once per distinct content."""
     x, y = f.source, f.target
+    key = y._key, tuple(f.chain)
+    cached = x._hcache.get(key)
+    if cached is not None:
+        return cached
     pb = pullback(f, require_injective=True)
     projs, sections, qcells = [], [], []
     for k, p in enumerate(pb):
@@ -371,8 +392,9 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
         if not (projs[k + 1] * (x.coboundary(k) * pb[k])).is_zero():
             raise NotWellDefined(
                 f"coboundary does not descend to the quotient at degree {k}")
-    qx = CochainComplex(qcells, deltas)
-    return QuotientComplex(qx, projs, sections)
+    qc = x._hcache[key] = QuotientComplex(CochainComplex(qcells, deltas),
+                                          projs, sections)
+    return qc
 
 
 def _quotient_cohomology_tower(qc: QuotientComplex, self_x: CellularMap,
@@ -403,9 +425,10 @@ def les_quotient(f: CellularMap, self_x: CellularMap, self_y: CellularMap):
         if k <= y.dimension:
             ty = cohomology_tower(y, self_y, k)
         else:
-            # H^k(Y) = 0 is the cohomology of the empty complex
-            e = CochainComplex([[]], [])
-            ty = cohomology_tower(e, CellularMap.identity(e), 0)
+            # H^k(Y) = 0 is the cohomology of the empty complex; its tower
+            # is not kept, since a new identity map would key a new one
+            h = cohomology(CochainComplex([[]], []), 0)
+            ty = TowerGroup(h, GroupHom(h, h, IntMatrix.zeros(0, 0)))
         tx = cohomology_tower(x, self_x, k)
         tq = _quotient_cohomology_tower(qc, self_x, k)
         if k > 0:

@@ -274,6 +274,11 @@ def _integer_eigenvalues(b_ff: IntMatrix):
     return eigs if len(poly) == 1 else None
 
 
+# (ngens, relations, endo matrix) of a tower -> its classification, which
+# _classify computes from exactly these three
+_limits = {}
+
+
 def classify(t: TowerGroup) -> GroupExpr:
     """Canonical form of the direct limit, or an unclassified payload.
 
@@ -285,10 +290,14 @@ def classify(t: TowerGroup) -> GroupExpr:
     splitting.  Only when several distinct radicals interact through the
     finite-index discrepancy is a genuine splitting check required, and a
     failed check yields an unclassified payload rather than a guess.
-    The result is kept in `t.limit`; later calls return it.
+    The result is kept in `t.limit` and in `_limits` under the tower's
+    presentation, so that a tower with an equal one is not classified again.
     """
     if t.limit is None:
-        t.limit = _classify(t)
+        key = t.group.ngens, t.group.rel, t.endo.matrix
+        t.limit = _limits.get(key)
+        if t.limit is None:
+            t.limit = _limits[key] = _classify(t)
     return t.limit
 
 

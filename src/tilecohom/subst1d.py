@@ -27,6 +27,9 @@ class Substitution1D:
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) < len(self.alphabet):
             raise ValueError(f"repeated letter in alphabet {self.alphabet!r}")
+        if not set(self.alphabet) >= rule.keys():
+            raise ValueError(f"rule has images of letters outside the "
+                             f"alphabet {self.alphabet!r}")
         self.rule = {a: tuple(rule.get(a, ())) for a in self.alphabet}
         for a, w in self.rule.items():
             if not w or not self.rule.keys() >= set(w):
@@ -58,6 +61,7 @@ class Substitution1D:
             raise NotPrimitive(f"substitution on {self.alphabet} is not primitive")
 
 
+@functools.lru_cache(maxsize=None)
 def tm_substitution(k: int, l: int) -> Substitution1D:
     """1 -> 1^k 1b^l,  1b -> 1b^k 1^l."""
     if k < 1 or l < 1:
@@ -66,6 +70,7 @@ def tm_substitution(k: int, l: int) -> Substitution1D:
                                         "1b": ("1b",) * k + ("1",) * l})
 
 
+@functools.lru_cache(maxsize=None)
 def pd_substitution(k: int, l: int) -> Substitution1D:
     """a -> b^{k-1} a b^{l-1} b,  b -> b^{k-1} a b^{l-1} a."""
     if k < 1 or l < 1:
@@ -74,6 +79,7 @@ def pd_substitution(k: int, l: int) -> Substitution1D:
     return Substitution1D(("a", "b"), {"a": core + ("b",), "b": core + ("a",)})
 
 
+@functools.lru_cache(maxsize=None)
 def solenoid_substitution(m: int) -> Substitution1D:
     """s -> s^m."""
     if m < 2:

@@ -311,13 +311,21 @@ def border_forcing_check(scheme, max_power: int = 4):
     """Smallest k <= max_power such that k-fold inflation of a prototile
     determines the ring of tiles around its supertile, or None.
 
-    For a scheme name the check runs on the tile-level quotient rule, once
-    per max_power; if the rule only descends to collared prototiles the
-    scheme cannot be built uncollared and the check reports None.
+    For a scheme (a name or a coarsening callable) the check runs on the
+    tile-level quotient rule, once per max_power for a name; if the rule
+    only descends to collared prototiles the scheme cannot be built
+    uncollared and the check reports None.
     """
-    if not isinstance(scheme, Substitution2D):
+    if isinstance(scheme, Substitution2D):
+        return _forcing_power(scheme, max_power)
+    if not callable(scheme):
         return _named_border_forcing(scheme, max_power)
-    return _forcing_power(scheme, max_power)
+    try:
+        sub = descend_rule(scheme)
+    except NotWellDefined:
+        _quotient(scheme, 1)  # raises if not even the collared rule descends
+        return None
+    return _forcing_power(sub, max_power)
 
 
 def _forcing_power(sub, max_power):

@@ -1,22 +1,44 @@
 """Shared fixtures."""
 import pytest
 
-from tilecohom import subst1d, subst2d
+from tilecohom import catalog, complexes, limits, subst1d, subst2d
 
-# the caches that hold complexes, cellular maps, descended rules and
-# border-forcing answers; a complex keeps its cohomology groups and towers,
-# a tower its classification, and a rule its legal patches
+# every module-level lru_cache of the package but abelian.snf, whose memo is
+# a pure function of one matrix and holds no complex, tower or limit:
+# substitutions, complexes, cellular maps, descended rules, master windows,
+# border-forcing answers and the golden table
 COMPLEX_AND_MAP_CACHES = (
-    (subst1d, ("tm_system", "pd_system", "sol_system", "factor_map_phi",
+    (subst1d, ("tm_substitution", "pd_substitution", "solenoid_substitution",
+               "tm_system", "pd_system", "sol_system", "factor_map_phi",
                "factor_map_psi", "factor_map_psi_phi")),
-    (subst2d, ("_ap_complex_2d_depth", "factor_map_edge", "_named_rule",
-               "_named_border_forcing")))
+    (subst2d, ("master_system", "_master_index", "_collared_system",
+               "_tile_descends", "_ap_complex_2d_depth", "factor_map_edge",
+               "_named_rule", "_named_border_forcing")),
+    (catalog, ("golden_table",)))
+
+# the content stores: what is computed on a complex (its reduction,
+# cohomology groups, towers and quotient complexes), keyed by its cells and
+# coboundaries, and the classification of a tower, keyed by its presentation
+CONTENT_STORES = ((complexes, ("_complexes",)), (limits, ("_limits",)))
+
+
+def empty_stores():
+    for module, names in CONTENT_STORES:
+        for name in names:
+            getattr(module, name).clear()
+
+
+def empty_caches():
+    for module, names in COMPLEX_AND_MAP_CACHES:
+        for name in names:
+            getattr(module, name).cache_clear()
+    empty_stores()
 
 
 @pytest.fixture
 def cold_caches():
-    """Empty the complex and map caches, so that the test builds and
-    classifies every tower it reaches from a cold start."""
-    for module, names in COMPLEX_AND_MAP_CACHES:
-        for name in names:
-            getattr(module, name).cache_clear()
+    """Empty every cache and store, so that the test builds and classifies
+    every tower it reaches from a cold start.  The fixture's value empties
+    them again."""
+    empty_caches()
+    return empty_caches

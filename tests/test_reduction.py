@@ -1,11 +1,13 @@
 """Unit-pivot reduction of cochain complexes against the unreduced
 complexes, and the sparse matrix product against the naive one.
 
-The unreduced side patches complexes._reduce to the identity reduction and
-empties the cohomology caches of the complexes involved around that run, so
-neither side reads groups the other computed.
+The unreduced side patches complexes._reduce to the identity reduction.
+The content entries of the complexes involved and the content stores are
+emptied around that run, so neither side reads groups, quotient complexes
+or classifications the other computed.
 """
 import pytest
+from conftest import empty_stores
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,18 +26,21 @@ def _identity_reduction(c):
     return c, ids, ids
 
 
+def _empty(cxs):
+    for c in cxs:
+        c._hcache.clear()
+    empty_stores()
+
+
 def reduced_and_unreduced(monkeypatch, cxs, fn):
     """(fn() on reduced complexes, fn() with the reduction switched off)."""
-    for c in cxs:
-        c._hcache.clear()
+    _empty(cxs)
     reduced = fn()
-    for c in cxs:
-        c._hcache.clear()
+    _empty(cxs)
     with monkeypatch.context() as m:
         m.setattr(complexes, "_reduce", _identity_reduction)
         unreduced = fn()
-    for c in cxs:
-        c._hcache.clear()
+    _empty(cxs)
     return reduced, unreduced
 
 

@@ -62,6 +62,7 @@ class TestSubstitutions:
         ("ab", {"a": "ac", "b": "a"}),   # an image letter outside the alphabet
         ("ab", {"a": "ab"}),             # no image for b
         ("aab", {"a": "ab", "b": "a"}),  # a repeated alphabet letter
+        ("ab", {"a": "ab", "b": "a", "c": "abc"}),  # a letter outside it
     ])
     def test_malformed_rule(self, alphabet, rule):
         # these used to raise a bare KeyError, or to pass and report a

@@ -92,6 +92,16 @@ class TestBorderForcing:
     def test_master_does_not_force(self):
         assert border_forcing_check("X,+") is None
 
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_coarsening_callable_answers_as_its_name(self, name):
+        assert border_forcing_check(decorate(name)) == \
+            border_forcing_check(name)
+
+    def test_coarsening_that_never_descends_is_rejected(self):
+        # the first letter of the arrow: not even the collared rule descends
+        with pytest.raises(NotWellDefined):
+            border_forcing_check(lambda t: t[0][0])
+
     def test_collar_policy(self):
         assert collar_depth("0,0", "auto") == 0
         assert collar_depth("X,+", "auto") == 1
