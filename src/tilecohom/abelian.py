@@ -139,7 +139,10 @@ class IntMatrix:
 
     def __mul__(self, other):
         """Product over the nonzeros of both factors.  A row of self with
-        one entry 1 shares the matching row of other."""
+        one entry 1 shares the matching row of other.  Otherwise the output
+        row starts as a copy of the first nonempty row of other it draws
+        on, and later rows with coefficient 1 or -1 are added without a
+        multiply; no row of either factor is changed."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -148,12 +151,27 @@ class IntMatrix:
         out = []
         for arow in self._r:
             if len(arow) > 1:
-                acc = {}
-                get = acc.get
+                acc = None
                 for k, x in arow.items():
-                    for j, y in b[k].items():
-                        acc[j] = get(j, 0) + x * y
-                if 0 in acc.values():
+                    brow = b[k]
+                    if not brow:
+                        continue
+                    if acc is None:
+                        acc = dict(brow) if x == 1 else {
+                            j: x * y for j, y in brow.items()}
+                        get = acc.get
+                    elif x == 1:
+                        for j, y in brow.items():
+                            acc[j] = get(j, 0) + y
+                    elif x == -1:
+                        for j, y in brow.items():
+                            acc[j] = get(j, 0) - y
+                    else:
+                        for j, y in brow.items():
+                            acc[j] = get(j, 0) + x * y
+                if acc is None:
+                    acc = {}
+                elif 0 in acc.values():
                     acc = {j: y for j, y in acc.items() if y}
             elif arow:
                 (k, x), = arow.items()

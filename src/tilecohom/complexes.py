@@ -288,15 +288,26 @@ class CellularMap:
 def pullback(f: CellularMap, require_injective: bool = False):
     """Cochain matrices f*_k : C^k(target) -> C^k(source), i.e. f.cochain.
 
-    The injectivity test decomposes each f*_k, and the connecting-map
-    lift of les_quotient solves against the same matrices (snf memo).
+    With require_injective, every f*_k must be injective (_injective), or
+    NotInjectiveOnCochains names the first degree where it is not.
     """
     if require_injective:
         for k, p in enumerate(f.cochain):
-            if rank(p) != p.cols:
+            if not _injective(p):
                 raise NotInjectiveOnCochains(
                     f"pullback not injective on degree-{k} cochains")
     return f.cochain
+
+
+def _injective(p: IntMatrix) -> bool:
+    """Whether p is injective on integer vectors.  When each row has at
+    most one entry (each source cell covers at most one target cell, as for
+    every factor map of the catalog), that holds exactly when every column
+    is covered; otherwise p is decomposed (rank)."""
+    rows = p.sparse_rows
+    if all(len(r) <= 1 for r in rows):
+        return len(set().union(*rows)) == p.cols
+    return rank(p) == p.cols
 
 
 def cohomology_tower(c: CochainComplex, self_map: CellularMap, k: int) -> TowerGroup:
@@ -351,7 +362,8 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
     pb = pullback(f, require_injective=True)
     projs, sections, qcells = [], [], []
     for k, p in enumerate(pb):
-        # each source cell covers at most one target cell, with sign +-1
+        # each source cell covers at most one target cell, with sign +-1;
+        # f* is injective, so then every target cell gets a representative
         cover, rep = [], {}
         for i, row in enumerate(p.sparse_rows):
             nz = list(row.items())
@@ -366,10 +378,6 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
             cover.append(nz[0] if nz else None)
             if nz:
                 rep.setdefault(nz[0][0], (i, nz[0][1]))
-        for j in range(p.cols):
-            if j not in rep:
-                raise NotInjectiveOnCochains(
-                    f"target degree-{k} cell {y.cells[k][j]} has no preimage")
         n = p.rows
         rep_rows = {i for i, _ in rep.values()}
         nonrep = [i for i in range(n) if i not in rep_rows]

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from collections import Counter
+from itertools import chain
 
 from .abelian import IntMatrix, is_primitive_matrix
 from .complexes import CellularMap, CochainComplex
@@ -85,16 +88,31 @@ def decorate(name: str):
 
 
 class Substitution2D:
-    """A 2x2 block substitution on a finite prototile set."""
+    """A 2x2 block substitution on a finite prototile set.
+
+    The legal-patch closure runs on flat squares: row-major tuples, south
+    row first, of tile ids (positions in `tiles`).  `_kids[t]` holds the
+    ids of tile t's children in QUADS order, and `_gathers` the getters,
+    one list per (square size, window side), that take a square's
+    concatenated child quadruples to the windows of its inflation.
+    """
 
     def __init__(self, tiles, rule):
         self.tiles = tuple(sorted(set(tiles), key=repr))
         self.rule = {t: dict(rule[t]) for t in self.tiles}
-        for blk in self.rule.values():
+        for t, blk in self.rule.items():
+            if blk.keys() != set(QUADS):
+                raise NotWellDefined("rule must give one child per quadrant",
+                                     witness=t)
             for child in blk.values():
                 if child not in self.rule:
                     raise NotWellDefined("rule is not closed on the tile set",
                                          witness=child)
+        tid = {t: i for i, t in enumerate(self.tiles)}
+        self._kids = tuple(tuple(tid[self.rule[t][q]] for q in QUADS)
+                           for t in self.tiles)
+        self._gathers = {}
+        self._pairs = None  # the legal 2-squares, closed once
         self._legal_cache = {}
 
     def inflate(self, rows):
@@ -117,28 +135,64 @@ class Substitution2D:
         if not self.is_primitive():
             raise NotPrimitive("block substitution is not primitive")
 
+    def _children(self, square):
+        """The child quadruples of a flat square's tiles, concatenated."""
+        return tuple(chain.from_iterable(map(self._kids.__getitem__, square)))
+
+    def _image_windows(self, square, m):
+        """The flat m-square windows of the inflation of a flat square."""
+        key = len(square), m
+        getters = self._gathers.get(key)
+        if getters is None:
+            s = math.isqrt(len(square))
+            getters = self._gathers[key] = _inflated_getters(
+                s, m, itertools.product(range(2 * s - m + 1), repeat=2))
+        kids = self._children(square)
+        return {get(kids) for get in getters}
+
+    def _squares(self, n):
+        """The legal n x n squares, flat."""
+        self.require_primitive()
+        return _legal_patches(self, [(t,) for t in range(len(self.tiles))],
+                              self._image_windows, 2, n)
+
     def legal(self, w, h):
         """All legal w x h patches, as rows, sorted by repr: cut from the
         legal max(w, h)-squares of the legal-patch closure."""
         key = (w, h)
         if key not in self._legal_cache:
-            self.require_primitive()
-            squares = _legal_patches(
-                [((t,),) for t in self.tiles],
-                lambda p, m: _windows(self.inflate(p), m, m), 2, max(w, h))
+            n = max(w, h)
+            getters = [_getter(_window(n, w, h, x0, y0))
+                       for x0 in range(n - w + 1) for y0 in range(n - h + 1)]
+            flat = {get(sq) for sq in self._squares(n) for get in getters}
             self._legal_cache[key] = sorted(
-                set().union(*(_windows(p, w, h) for p in squares)), key=repr)
+                (_rows(f, w, self.tiles) for f in flat), key=repr)
         return self._legal_cache[key]
 
 
-def _windows(rows, w, h):
-    """The set of w x h windows of a patch given as rows."""
-    # cuts[y][x0] is row y cut to [x0, x0 + w); zipping h consecutive
-    # rows of cuts yields the windows of that band
-    cuts = [[tuple(row[x0:x0 + w]) for x0 in range(len(row) - w + 1)]
-            for row in rows]
-    return set().union(*(zip(*cuts[y0:y0 + h])
-                         for y0 in range(len(cuts) - h + 1)))
+def _window(side, w, h, x0, y0):
+    """Flat indices of the w x h window at (x0, y0) of a flat side-square."""
+    return [(y0 + j) * side + x0 + i for j in range(h) for i in range(w)]
+
+
+def _getter(idx):
+    """The map flat -> tuple(flat[k] for k in idx), in C for two or more."""
+    if len(idx) == 1:
+        k, = idx
+        return lambda flat: (flat[k],)
+    return operator.itemgetter(*idx)
+
+
+def _inflated_getters(s, m, origins):
+    """Getters of the flat m-square windows at `origins` of the inflation of
+    a flat s-square, reading the square's concatenated child quadruples."""
+    # cell (x, y) of the inflation is child QUADS[q] of the source tile at
+    # (x // 2, y // 2), entry 4 * source + q of the quadruples
+    quad = {q: i for i, q in enumerate(QUADS)}
+    spread = [4 * ((y >> 1) * s + (x >> 1)) + quad[x & 1, y & 1]
+              for y in range(2 * s) for x in range(2 * s)]
+    return [_getter([spread[k] for k in _window(2 * s, m, m, x0, y0)])
+            for x0, y0 in origins]
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,53 +207,48 @@ def enumerate_prototiles(name: str):
     return tuple(sorted({q(t) for t in MASTER_TILES}, key=repr))
 
 
-def _rows(flat, n, tiles):
-    """A flat n x n window of master-tile indices as rows of tiles[index]."""
-    return tuple(tuple(tiles[t] for t in flat[j * n:(j + 1) * n])
-                 for j in range(n))
+def _rows(flat, w, tiles):
+    """A flat window w tiles wide, of indices into tiles, as rows of
+    tiles[index]."""
+    return tuple(tuple(tiles[t] for t in flat[j:j + w])
+                 for j in range(0, len(flat), w))
 
 
 @functools.lru_cache(maxsize=None)
 def _master_index(r: int):
     """Int-keyed index of the legal master windows for collar depth r.
 
-    Built from the legal m-square master windows (m = 2r + 2) alone: their
-    n-square sub-windows (n = 2r + 1) are exactly the legal n x n, and
-    their (n+1) x n, n x (n+1) and m x m sub-windows give every adjacency
-    and corner contact (tests/test_master_index.py checks both facts).
-    `windows` lists the n x n windows as flat row-major tuples of indices
-    into `master_system().tiles`, in `legal(n, n)` (repr) order; a window's
-    id is its position there.  `children[w]` holds the ids of the four
-    windows centred on the children of w's centre tile, in QUADS order;
-    `h`, `v` and `corners` hold the id pairs (west, east), (south, north)
-    and quadruples (SW, SE, NW, NE) of contacts.
+    Built from the legal m-square master windows (m = 2r + 2) alone, the
+    flat squares of the legal-patch closure: their n-square sub-windows
+    (n = 2r + 1) are exactly the legal n x n, and their (n+1) x n,
+    n x (n+1) and m x m sub-windows give every adjacency and corner
+    contact (tests/test_master_index.py checks both facts).  `windows`
+    lists the n x n windows as flat row-major tuples of indices into
+    `master_system().tiles`, sorted, which is `legal(n, n)` (repr) order
+    since all master tiles have reprs of one length; a window's id is its
+    position there.  `children[w]` holds the ids of the four windows
+    centred on the children of w's centre tile, in QUADS order; `h`, `v`
+    and `corners` hold the id pairs (west, east), (south, north) and
+    quadruples (SW, SE, NW, NE) of contacts.
     """
     ms = master_system()
-    tid = {t: i for i, t in enumerate(ms.tiles)}
     n, m = 2 * r + 1, 2 * r + 2
-
-    def cut(width, x0, y0):
-        """Getter of the n x n sub-window at (x0, y0) of a flat window."""
-        idx = [(y0 + j) * width + x0 + i for j in range(n) for i in range(n)]
-        return lambda flat: tuple(flat[k] for k in idx)
-
-    subs = {(x0, y0): cut(m, x0, y0) for x0 in (0, 1) for y0 in (0, 1)}
-    masters = [tuple(tid[t] for row in win for t in row)
-               for win in ms.legal(m, m)]
-    windows = sorted({sub(w) for w in masters for sub in subs.values()})
+    masters = ms._squares(m)
+    # the n-square sub-windows at a master's SW, SE, NW and NE corners
+    subs = [_getter(_window(m, n, n, x0, y0))
+            for x0, y0 in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    windows = sorted({sub(w) for w in masters for sub in subs})
     wid = {w: i for i, w in enumerate(windows)}
-    centred = [cut(2 * n, r + c, r + rr) for c, rr in QUADS]
-    children = []
-    for w in windows:
-        big = [tid[t] for row in ms.inflate(_rows(w, n, ms.tiles))
-               for t in row]
-        children.append(tuple(wid[sub(big)] for sub in centred))
-    ids = [{key: wid[sub(w)] for key, sub in subs.items()} for w in masters]
+    centred = _inflated_getters(n, n, [(r + c, r + rr) for c, rr in QUADS])
+    children = [tuple(wid[sub(kids)] for sub in centred)
+                for kids in map(ms._children, windows)]
+    corners = sorted({tuple(wid[sub(w)] for sub in subs) for w in masters})
     return dict(
-        n=n, windows=windows, children=children,
-        h=sorted({(s[0, y], s[1, y]) for s in ids for y in (0, 1)}),
-        v=sorted({(s[x, 0], s[x, 1]) for s in ids for x in (0, 1)}),
-        corners=sorted({(s[0, 0], s[1, 0], s[0, 1], s[1, 1]) for s in ids}))
+        n=n, windows=windows, children=children, corners=corners,
+        h=sorted({p for sw, se, nw, ne in corners
+                  for p in ((sw, se), (nw, ne))}),
+        v=sorted({p for sw, se, nw, ne in corners
+                  for p in ((sw, nw), (se, ne))}))
 
 
 def _quotient(q, r):
@@ -217,7 +266,7 @@ def _quotient(q, r):
     code = {}
     tcode = [code.setdefault(x, len(code)) for x in image]
     first = {}
-    rep = [first.setdefault(tuple(tcode[t] for t in w), i)
+    rep = [first.setdefault(tuple(map(tcode.__getitem__, w)), i)
            for i, w in enumerate(idx["windows"])]
     keys = {i: _rows(idx["windows"][i], n, image) for i in first.values()}
     order = sorted(keys, key=lambda i: repr(keys[i]))
@@ -236,12 +285,11 @@ def _quotient(q, r):
                 witness=tuple(_rows(idx["windows"][x], n, tiles)
                               for x in (order[cls[w]], w)))
 
-    def contacts(key):
-        return sorted({tuple(cls[w] for w in c) for c in idx[key]})
-
     return dict(classes=[keys[i] for i in order], cls=cls, smap=smap,
-                hpairs=contacts("h"), vpairs=contacts("v"),
-                blocks=contacts("corners"), r=r)
+                hpairs=sorted({(cls[a], cls[b]) for a, b in idx["h"]}),
+                vpairs=sorted({(cls[a], cls[b]) for a, b in idx["v"]}),
+                blocks=sorted({(cls[a], cls[b], cls[c], cls[d])
+                               for a, b, c, d in idx["corners"]}), r=r)
 
 
 @functools.lru_cache(maxsize=None)

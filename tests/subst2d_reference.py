@@ -6,8 +6,10 @@ the per-scheme window work (`_system_for_q`), the tuple-keyed union-find
 (`_ap_complex_2d_depth`), the factor map (`factor_map_edge`) and
 `border_forcing_check` that the int-keyed master-window index in
 `tilecohom.subst2d` replaced, kept verbatim so the differential tests can
-demand identical windows, cells, matrices, rules and witnesses.  Test-only
-code.
+demand identical windows, cells, matrices, rules and witnesses.  The
+row-patch `legal` (`RowSubstitution2D`), closure and `_master_index` that
+the flat squares of tile ids replaced are kept at the end, verbatim too.
+Test-only code.
 """
 from __future__ import annotations
 
@@ -424,3 +426,117 @@ def _cell_lookups(cx, sysd):
     fv = {(c, k): vi[vdsu.find((c, k))]
           for c in cx.cells[2] for k in CORNERS}
     return fe, fv
+
+
+# ---- the row-patch closure and master index the flat squares replaced ----
+#
+# `Substitution2D.legal` on rows of tiles, the shared closure
+# `_legal_patches` as it stood before it kept the 2-patches on the
+# substitution, and `_master_index`, which cut its windows from the rows of
+# `legal(m, m)`: verbatim but for the class they live on and the master
+# system `_master_index` reads.
+
+
+class RowSubstitution2D(subst2d.Substitution2D):
+    """The block substitution with its former row-patch `legal`."""
+
+    def legal(self, w, h):
+        """All legal w x h patches, as rows, sorted by repr: cut from the
+        legal max(w, h)-squares of the legal-patch closure."""
+        key = (w, h)
+        if key not in self._legal_cache:
+            self.require_primitive()
+            squares = _legal_patches(
+                [((t,),) for t in self.tiles],
+                lambda p, m: _windows(self.inflate(p), m, m), 2, max(w, h))
+            self._legal_cache[key] = sorted(
+                set().union(*(_windows(p, w, h) for p in squares)), key=repr)
+        return self._legal_cache[key]
+
+
+def _legal_patches(tiles, image_windows, stretch, n):
+    """The set of legal n-patches: n-words in 1-D, n x n squares in 2-D.
+
+    `tiles` are the one-tile patches (all legal), `image_windows(p, m)`
+    the m-patches in the image of p, `stretch` >= 2 the least factor by
+    which the substitution lengthens a side.  A legal 2-patch lies in the
+    image of a tile or of a legal 2-patch, a legal m'-patch, m' <= (m-1) *
+    stretch + 1, in that of a legal m-patch (Anderson-Putnam, ETDS 18)."""
+    if n < 2:
+        return set(tiles)
+    found = set().union(*(image_windows(t, 2) for t in tiles))
+    frontier = found
+    while frontier:
+        frontier = set().union(*(image_windows(p, 2)
+                                 for p in frontier)) - found
+        found |= frontier
+    m = 2
+    while m < n:
+        m = min(n, (m - 1) * stretch + 1)
+        found = set().union(*(image_windows(p, m) for p in found))
+    return found
+
+
+def _windows(rows, w, h):
+    """The set of w x h windows of a patch given as rows."""
+    # cuts[y][x0] is row y cut to [x0, x0 + w); zipping h consecutive
+    # rows of cuts yields the windows of that band
+    cuts = [[tuple(row[x0:x0 + w]) for x0 in range(len(row) - w + 1)]
+            for row in rows]
+    return set().union(*(zip(*cuts[y0:y0 + h])
+                         for y0 in range(len(cuts) - h + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def row_master_system() -> RowSubstitution2D:
+    return RowSubstitution2D(MASTER_TILES, {t: master_rule(t)
+                                            for t in MASTER_TILES})
+
+
+def _rows(flat, n, tiles):
+    """A flat n x n window of master-tile indices as rows of tiles[index]."""
+    return tuple(tuple(tiles[t] for t in flat[j * n:(j + 1) * n])
+                 for j in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _master_index(r: int):
+    """Int-keyed index of the legal master windows for collar depth r.
+
+    Built from the legal m-square master windows (m = 2r + 2) alone: their
+    n-square sub-windows (n = 2r + 1) are exactly the legal n x n, and
+    their (n+1) x n, n x (n+1) and m x m sub-windows give every adjacency
+    and corner contact (tests/test_master_index.py checks both facts).
+    `windows` lists the n x n windows as flat row-major tuples of indices
+    into `master_system().tiles`, in `legal(n, n)` (repr) order; a window's
+    id is its position there.  `children[w]` holds the ids of the four
+    windows centred on the children of w's centre tile, in QUADS order;
+    `h`, `v` and `corners` hold the id pairs (west, east), (south, north)
+    and quadruples (SW, SE, NW, NE) of contacts.
+    """
+    ms = row_master_system()
+    tid = {t: i for i, t in enumerate(ms.tiles)}
+    n, m = 2 * r + 1, 2 * r + 2
+
+    def cut(width, x0, y0):
+        """Getter of the n x n sub-window at (x0, y0) of a flat window."""
+        idx = [(y0 + j) * width + x0 + i for j in range(n) for i in range(n)]
+        return lambda flat: tuple(flat[k] for k in idx)
+
+    subs = {(x0, y0): cut(m, x0, y0) for x0 in (0, 1) for y0 in (0, 1)}
+    masters = [tuple(tid[t] for row in win for t in row)
+               for win in ms.legal(m, m)]
+    windows = sorted({sub(w) for w in masters for sub in subs.values()})
+    wid = {w: i for i, w in enumerate(windows)}
+    centred = [cut(2 * n, r + c, r + rr) for c, rr in QUADS]
+    children = []
+    for w in windows:
+        big = [tid[t] for row in ms.inflate(_rows(w, n, ms.tiles))
+               for t in row]
+        children.append(tuple(wid[sub(big)] for sub in centred))
+    ids = [{key: wid[sub(w)] for key, sub in subs.items()} for w in masters]
+    return dict(
+        n=n, windows=windows, children=children,
+        h=sorted({(s[0, y], s[1, y]) for s in ids for y in (0, 1)}),
+        v=sorted({(s[x, 0], s[x, 1]) for s in ids for x in (0, 1)}),
+        corners=sorted({(s[0, 0], s[1, 0], s[0, 1], s[1, 1]) for s in ids}))

@@ -2,13 +2,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tilecohom.abelian import FgAbGroup, IntMatrix, kernel_basis
-from tilecohom.complexes import (CellularMap, CochainComplex, cohomology,
-                                 cohomology_tower, hom_on_cohomology,
-                                 les_quotient, pullback, quotient_complex)
+from tilecohom.abelian import FgAbGroup, IntMatrix, kernel_basis, rank
+from tilecohom.catalog import PATH_STARTS, PATH_WORDS, catalog_factor_maps
+from tilecohom.complexes import (CellularMap, CochainComplex, _injective,
+                                 cohomology, cohomology_tower,
+                                 hom_on_cohomology, les_quotient, pullback,
+                                 quotient_complex)
 from tilecohom.errors import (NotACochainMap, NotInjectiveOnCochains,
                               NotWellDefined)
 from tilecohom.limits import TowerGroup, classify
+from tilecohom.subst2d import (SCHEME_NAMES, compose_path,
+                               compose_realization, lattice_steps)
 
 
 def M(rows):
@@ -231,6 +235,68 @@ class TestQuotient:
         assert [str(e) for e in res["Q"]] == ["0", "Z", "Z"]
         assert res["Q"][2] == res["X"][2]
         assert res["nodes"][-4:] == ["H^2(Y)", "H^2(X)", "H^2_Q", "0"]
+
+
+class TestInjectivityByCover:
+    """f* is injective by its covered columns when every row has at most
+    one entry, and by its rank otherwise; both decide alike."""
+
+    @staticmethod
+    def _wedge(n):
+        """One vertex and n loops."""
+        return CochainComplex([["v"], [f"a{i}" for i in range(n)]],
+                              [IntMatrix.zeros(n, 1)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cover_rule_matches_rank(self, data):
+        rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        p = data.draw(small_matrices(rows, cols))
+        assert _injective(p) == (rank(p) == p.cols)
+
+    def test_catalog_maps_decided_by_cover(self):
+        # every lattice edge, composite, path word and 1-D factor map has
+        # one-entry rows only, so no pullback is decomposed to decide
+        maps = [f for _key, f, _sx, _sy in catalog_factor_maps()]
+        maps += [compose_path(PATH_STARTS[w], w) for w in PATH_WORDS]
+        maps += [compose_realization(lattice_steps(name, "0,0"))
+                 for name in SCHEME_NAMES if name != "0,0"]
+        for f in maps:
+            for p in f.cochain:
+                assert all(len(r) <= 1 for r in p.sparse_rows)
+                assert _injective(p) == (rank(p) == p.cols)
+
+    def test_clean_map_missing_a_target_cell(self):
+        # the circle onto the wedge of two loops, e0 -> a0: each row is one
+        # entry 1, and a1 has no preimage
+        x, y = circle(1), self._wedge(2)
+        f = CellularMap(x, y, [M([[1]]), M([[1], [0]])])
+        for run in (quotient_complex, lambda g: les_quotient(
+                g, CellularMap.identity(x), CellularMap.identity(y))):
+            with pytest.raises(NotInjectiveOnCochains) as exc:
+                run(f)
+            assert str(exc.value) == \
+                "pullback not injective on degree-1 cochains"
+
+    def test_map_with_both_faults(self):
+        # e0 -> a0 + a1 covers two cells and a2 has no preimage: the rank
+        # test runs first, so injectivity is what fails
+        x, y = circle(2), self._wedge(3)
+        f = CellularMap(x, y, [M([[1, 1]]), M([[1, 1], [1, 0], [0, 0]])])
+        with pytest.raises(NotInjectiveOnCochains) as exc:
+            quotient_complex(f)
+        assert str(exc.value) == "pullback not injective on degree-1 cochains"
+
+    def test_covering_map_with_multiplicity(self):
+        # every cell covered, but e -> 2e: injective, then the cell scan
+        # rejects the multiplicity
+        x, y = circle(1), circle(1)
+        f = CellularMap(x, y, [M([[1]]), M([[2]])])
+        assert _injective(f.cochain[1])
+        with pytest.raises(NotWellDefined) as exc:
+            quotient_complex(f)
+        assert str(exc.value) == \
+            "degree-1 cell covers a target cell with multiplicity"
 
 
 class TestTowerCache:

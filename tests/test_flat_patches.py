@@ -1,0 +1,138 @@
+"""Legal patches on flat tile ids against the row-patch path they replaced.
+
+`tests/subst2d_reference.py` keeps the row-patch `Substitution2D.legal`
+(`RowSubstitution2D`), the closure it ran and the `_master_index` that cut
+its windows from `legal(m, m)`, verbatim.  The flat closure must give the
+same master index at r = 0, 1, 2 and the same lists of windows, in the same
+order, at every size `test_master_index.py` uses, for the master rule,
+every descended rule and a rule on plain ints.  The legal 2-patches are
+closed once per substitution, in 1-D and 2-D alike.
+"""
+from collections import Counter
+
+import pytest
+
+import subst2d_reference as ref
+from tilecohom import subst1d
+from tilecohom.errors import NotWellDefined
+from tilecohom.subst1d import Substitution1D, legal_words, tm_substitution
+from tilecohom.subst2d import (QUADS, SCHEME_NAMES, Substitution2D,
+                               _master_index, ap_complex_2d, descend_rule,
+                               master_system)
+
+SIZES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 3), (4, 3), (3, 4), (4, 4),
+         (5, 5), (6, 6)]
+
+
+def _row_copy(sub):
+    return ref.RowSubstitution2D(sub.tiles, sub.rule)
+
+
+def _wielandt():
+    """The primitive 5-tile rule of test_subst2d (exponent 17)."""
+    rule = {i: {q: i + 1 for q in QUADS} for i in range(4)}
+    rule[4] = dict(zip(QUADS, (0, 0, 1, 1)))
+    return Substitution2D(range(5), rule)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_master_index_identical(r):
+    assert _master_index(r) == ref._master_index(r)
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_master_legal_identical(size):
+    assert master_system().legal(*size) == \
+        ref.row_master_system().legal(*size)
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_descended_legal_identical(name):
+    sub = descend_rule(name)
+    old = _row_copy(sub)
+    for size in ((3, 3), (2, 1), (1, 2), (2, 2)):
+        assert sub.legal(*size) == old.legal(*size), size
+
+
+def test_int_tile_legal_identical():
+    sub = _wielandt()
+    old = _row_copy(sub)
+    for size in SIZES[:8]:
+        assert sub.legal(*size) == old.legal(*size), size
+
+
+def test_rule_missing_a_quadrant_is_rejected():
+    rule = {0: {q: 0 for q in QUADS[:3]}}
+    with pytest.raises(NotWellDefined):
+        Substitution2D([0], rule)
+
+
+def _recording(monkeypatch, cls, name):
+    """Record (substitution, patch, m) of every image_windows call."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counting(self, patch, m):
+        calls.append((self, patch, m))
+        return original(self, patch, m)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def test_2d_pairs_closed_once_per_substitution(monkeypatch):
+    calls = _recording(monkeypatch, Substitution2D, "_image_windows")
+    sub = _wielandt()
+    sub.legal(3, 3)
+    assert any(m == 2 for _, _, m in calls)
+    calls.clear()
+    for size in ((2, 1), (1, 2), (4, 4), (5, 5), (3, 4)):
+        sub.legal(*size)
+    assert not any(m == 2 for _, _, m in calls)
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_auto_collar_chair_closes_master_pairs_once(monkeypatch):
+    # the auto choice builds the depth-0 classes and then the depth-1
+    # complex; each substitution seeds its closure from each tile once
+    calls = _recording(monkeypatch, Substitution2D, "_image_windows")
+    ap_complex_2d("X,0", "auto")
+    seeded = Counter(id(s) for s, patch, _ in calls if len(patch) == 1)
+    subs = {id(s): s for s, _, _ in calls}
+    assert id(master_system()) in seeded
+    assert all(seeded[i] == len(subs[i].tiles) for i in seeded)
+
+
+def test_1d_pairs_closed_once_per_substitution(monkeypatch):
+    # a fresh substitution, not the cached tm_substitution(3, 2)
+    s = Substitution1D(("1", "1b"), {"1": ("1", "1", "1", "1b", "1b"),
+                                     "1b": ("1b", "1b", "1b", "1", "1")})
+    calls = []
+    original = Substitution1D._letter_windows
+
+    def counting(self, m):
+        calls.append(m)
+        return original(self, m)
+
+    monkeypatch.setattr(Substitution1D, "_letter_windows", counting)
+    assert legal_words(s, 3) == legal_words(tm_substitution(3, 2), 3)
+    assert 2 in calls
+    calls.clear()
+    assert legal_words(s, 5)
+    assert legal_words(s, 2) == s._pairs
+    assert 2 not in calls
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_depths_of_one_rule_close_once(monkeypatch):
+    closures = []
+    original = subst1d._legal_patches
+
+    def counting(s, tiles, image_windows, stretch, n):
+        closures.append(s._pairs is None)
+        return original(s, tiles, image_windows, stretch, n)
+
+    monkeypatch.setattr(subst1d, "_legal_patches", counting)
+    subst1d.tm_system(4, 3, 1)
+    subst1d.tm_system(4, 3, 2)
+    assert closures == [True, False]

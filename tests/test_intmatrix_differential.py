@@ -5,13 +5,18 @@ dense entries (through `to_rows()`) and the same shape as the tuple-of-tuples
 reference in `intmatrix_reference.py`, on shapes 0..6 in each dimension,
 0 x n and n x 0 included.  The sparse class must also keep its storage
 contract: no stored zero, and equal matrices built by different routes
-compare and hash equal whatever the key order of their rows.
+compare and hash equal whatever the key order of their rows.  Its product
+kernel (unit-coefficient rows added without a multiply) must give the row
+dicts of the former product (`sparse_product`), in the same key order, and
+change no operand row.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from intmatrix_reference import IntMatrix as Dense
+from intmatrix_reference import sparse_product
 from tilecohom.abelian import IntMatrix
+from tilecohom.catalog import verify_all
 
 dims = st.integers(0, 6)
 # half zeros, small values: sums and products cancel often
@@ -195,3 +200,92 @@ def test_empty_shapes_are_distinct():
     assert IntMatrix.zeros(3, 0) != IntMatrix.zeros(2, 0)
     assert IntMatrix.zeros(0, 3) * IntMatrix.zeros(3, 0) == IntMatrix.zeros(0, 0)
     assert IntMatrix.zeros(3, 0) * IntMatrix.zeros(0, 2) == IntMatrix.zeros(3, 2)
+
+
+# ---- the unit-coefficient product kernel against the former product ----
+
+def row_items(a):
+    return [list(r.items()) for r in a.sparse_rows]
+
+
+def check_kernel(a, b):
+    """a * b has the former product's rows, key order included, and
+    leaves both operands as they were."""
+    before = row_items(a), row_items(b)
+    got, want = a * b, sparse_product(a, b)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert row_items(got) == row_items(want)
+    assert (row_items(a), row_items(b)) == before
+
+
+coefficients = st.one_of(st.integers(-2, 2), st.sampled_from((1, -1)),
+                         st.integers(-2 ** 70, 2 ** 70))
+
+
+@st.composite
+def sparse_matrices(draw, m, n):
+    """Rows that are empty, a single entry 1 or -1, or any entries, the
+    keys in drawn order."""
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("empty", "unit", "any")) if n
+                    else st.just("empty"))
+        if kind == "unit":
+            rows.append({draw(st.integers(0, n - 1)):
+                         draw(st.sampled_from((1, -1)))})
+        elif kind == "any":
+            rows.append(draw(st.dictionaries(st.integers(0, n - 1),
+                                             coefficients, max_size=n)))
+        else:
+            rows.append({})
+    return IntMatrix.from_entries(m, n, {
+        (i, j): x for i, r in enumerate(rows) for j, x in r.items()})
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_kernel_matches_former_product(data):
+    m, k, n = data.draw(dims), data.draw(dims), data.draw(dims)
+    check_kernel(data.draw(sparse_matrices(m, k)),
+                 data.draw(sparse_matrices(k, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(((1, 1), (1, -1), (-1, 1), (2, -1),
+                                   (-1, -1))))
+def test_kernel_sums_that_cancel(data, coeffs):
+    # b's second row is the first scaled so that a's row cancels it: the
+    # output row is empty, or the third row of b alone
+    n = data.draw(st.integers(1, 6))
+    first = data.draw(sparse_matrices(1, n)).sparse_rows[0]
+    third = data.draw(sparse_matrices(1, n)).sparse_rows[0]
+    x, y = coeffs
+    scale = -x * y  # y is 1 or -1, so x + y * scale == 0
+    b = IntMatrix.from_entries(3, n, {
+        **{(0, j): v for j, v in first.items()},
+        **{(1, j): scale * v for j, v in first.items()},
+        **{(2, j): v for j, v in third.items()}})
+    a = IntMatrix.from_rows([[x, y, 0], [x, y, 1], [y, x, -1]])
+    check_kernel(a, b)
+    assert not (a * b).sparse_rows[0]
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_kernel_on_verify_products(monkeypatch):
+    """Every product that verify 2d and the default 1-D grid compute."""
+    seen = []
+    original = IntMatrix.__mul__
+
+    def recording(a, b):
+        before = row_items(a), row_items(b)
+        out = original(a, b)
+        assert (row_items(a), row_items(b)) == before
+        seen.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(IntMatrix, "__mul__", recording)
+    assert all(row["ok"] for row in verify_all("2d") + verify_all("1d"))
+    monkeypatch.undo()
+    assert len(seen) > 1000
+    for a, b, out in seen:
+        assert row_items(out) == row_items(sparse_product(a, b))
