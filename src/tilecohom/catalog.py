@@ -187,16 +187,13 @@ def compute_quotient(fine: str, coarse: str, collar: str = "auto"):
     forced collars (see _pair_collar).
     """
     collar = check_collar(collar, fine, coarse)
-    if fine == coarse:
-        dim = SpaceId.parse(fine).dimension
-        return [GroupExpr.zero() for _ in range(dim + 1)]
     fid, cid = SpaceId.parse(fine), SpaceId.parse(coarse)
+    if fid == cid:
+        return [GroupExpr.zero() for _ in range(fid.dimension + 1)]
     if fid.family == "chair" and cid.family == "chair":
-        steps = subst2d.lattice_steps(fid.scheme, cid.scheme)
-        if not steps:
-            raise InvalidPath("the two spaces coincide")
         collar = _pair_collar(collar)
-        f = subst2d.compose_realization(steps, collar)
+        f = subst2d.compose_realization(
+            subst2d.lattice_steps(fid.scheme, cid.scheme), collar)
         _, sx = subst2d.ap_complex_2d(fid.scheme, collar)
         _, sy = subst2d.ap_complex_2d(cid.scheme, collar)
     elif fid.family != "chair" and cid.family != "chair":

@@ -8,8 +8,8 @@ computation available when the top cohomology of the target vanishes.
 """
 from __future__ import annotations
 
-from .abelian import (FgAbGroup, GroupHom, IntMatrix, _axpy, kernel_basis,
-                      rank, solve_matrix)
+from .abelian import (FgAbGroup, GroupHom, IntMatrix, _axpy, rank, snf,
+                      solve_matrix)
 from .errors import (HypothesisFailed, NotACochainMap,
                      NotInjectiveOnCochains, NotWellDefined)
 from .limits import (TowerGroup, _dies_in_limit, classify, limit_les,
@@ -174,13 +174,14 @@ def _reduce(c: CochainComplex):
 
 
 def cohomology(c: CochainComplex, k: int) -> FgAbGroup:
-    """ker delta_k / im delta_{k-1}, on a minimal generating set.
-
-    Computed on the reduced complex of _reduce.  The presentation is
-    reduced to canonical coordinates (one generator per nontrivial
-    invariant factor); `ambient_lift` holds cocycle representatives of the
-    generators in c's own cochains, and `_coords` what _express needs to
-    write any cocycle in terms of the generators.
+    """ker delta_k / im delta_{k-1}, on a minimal generating set, from two
+    Smith forms on the reduced complex of _reduce (Kaczynski-Mischaikow-
+    Mrozek, Computational Homology, 2004, ch. 3).  With U delta_{k-1} V = D
+    of rank r, im is spanned by the d_i U^-1 e_i, which delta_k kills; with
+    W the V of snf(delta_k U^-1[:, r:]), of rank q, the generators are
+    U^-1 e_i of order d_i > 1, then the free U^-1[:, r:] W[:, q:].
+    `ambient_lift` holds them in c's own cochains, and `_coords` is
+    (delta_k, E pi) for _express, E stacking U[tors] over W^-1[q:] U[r:].
     """
     if not 0 <= k <= c.dimension:
         raise ValueError("degree out of range")
@@ -188,40 +189,35 @@ def cohomology(c: CochainComplex, k: int) -> FgAbGroup:
     if cached is not None:
         return cached
     red, iota, pi = _reduce(c)
-    kb = kernel_basis(red.coboundary(k))
-    im = red.coboundary(k - 1)
-    rels = solve_matrix(kb, im)
-    if rels is None:
-        raise NotWellDefined("coboundaries do not lie in the cocycle lattice")
-    big = FgAbGroup(kb.cols, rels)
-    keep = [i for i, d in enumerate(big.invariants) if d != 1]
-    from_min = big.Uinv.select_columns(keep)
-    nk = len(keep)
-    torsion = [(i, big.invariants[ki]) for i, ki in enumerate(keep)
-               if big.invariants[ki] > 1]
-    minrel = IntMatrix.from_entries(
-        nk, len(torsion), {(i, j): d for j, (i, d) in enumerate(torsion)})
-    lift = kb * from_min
-    h = FgAbGroup(nk, minrel, ambient_lift=iota[k] * lift)
-    h._coords = (c.coboundary(k), pi[k], lift.hstack(im))
+    n = red.n_cells(k)
+    s = snf(red.coboundary(k - 1))
+    r = s.rank
+    tors = [i for i, d in enumerate(s.invariant_factors) if d > 1]
+    rest = s.Uinv.select_columns(range(r, n))
+    t = snf(red.coboundary(k) * rest)
+    free = range(t.rank, n - r)
+    lift = s.Uinv.select_columns(tors).hstack(rest * t.V.select_columns(free))
+    coords = s.U.submatrix(tors, range(n)).vstack(
+        t.Vinv.submatrix(free, range(n - r))
+        * s.U.submatrix(range(r, n), range(n)))
+    rel = IntMatrix.diagonal([s.invariant_factors[i] for i in tors],
+                             lift.cols, len(tors))
+    h = FgAbGroup(lift.cols, rel, ambient_lift=iota[k] * lift)
+    h._coords = (c.coboundary(k), coords * pi[k])
     c._hcache[k] = h
     return h
 
 
 def _express(h: FgAbGroup, cochains: IntMatrix) -> IntMatrix | None:
     """Coordinates of cocycle columns in h's generators, modulo coboundaries;
-    None when a column is not a cocycle.
-
-    A cocycle z is cohomologous to iota(pi z), so its coordinates are those
-    of pi z in the reduced lift and coboundaries.  The answer is unique
-    modulo h's relation lattice, which is exactly the ambiguity a GroupHom
-    matrix is allowed to have.
+    None when a column is not a cocycle.  A cocycle z is cohomologous to
+    iota(pi z), whose coordinates are E pi z (see cohomology); a torsion
+    coordinate is defined modulo its order, as a GroupHom matrix may be.
     """
-    delta, proj, basis = h._coords
+    delta, coords = h._coords
     if not (delta * cochains).is_zero():
         return None
-    x = solve_matrix(basis, proj * cochains)
-    return None if x is None else x.submatrix(range(h.ngens), range(x.cols))
+    return coords * cochains
 
 
 class CellularMap:

@@ -310,10 +310,12 @@ def descend_rule(scheme) -> Substitution2D:
     """Quotient substitution on a scheme's (possibly collared) prototiles.
 
     `scheme` is a scheme name or a custom tile-coarsening callable.  If the
-    rule descends tile-by-tile the prototiles are plain coarsened tiles;
-    for the named schemes where only the collared rule descends, the
-    prototiles are once-collared classes.  A coarsening to which the rule
-    does not descend at all raises NotWellDefined with a witness pair.  A
+    rule descends tile-by-tile the prototiles are plain coarsened tiles.
+    For a named scheme where only the collared rule descends, the
+    prototiles are once-collared classes.  A callable is descended at tile
+    level only: if the rule does not descend tile-by-tile it raises
+    NotWellDefined with a witness pair, even when it would descend to
+    once-collared tiles (border_forcing_check tells the two apart).  A
     named scheme's rule is built once, so its legal patches are kept.
     """
     return _rule(_quotient(scheme, 0)) if callable(scheme) else _named_rule(scheme)
@@ -621,19 +623,12 @@ def path_realizations(space: str, word: str):
 
 
 def canonical_realization(space: str, word: str):
-    """The realization of a path label that compose_path composes.
-
-    Among the realizations of the label word, arrow-coarsening steps are
-    preferred over label-coarsening steps at each position (the composed
-    quotient cohomology is realization-independent; see path_realizations
-    to enumerate the alternatives).
-    """
-    def step_key(step):
-        fine, coarse = step
-        return 0 if scheme_parts(fine)[0] != scheme_parts(coarse)[0] else 1
-
-    return min(path_realizations(space, word),
-               key=lambda real: [step_key(s) for s in real])
+    """The realization of a path label that compose_path composes: the
+    first one path_realizations finds.  lattice_edges lists each scheme's
+    arrow-coarsening step before its label-coarsening step, so at each
+    position the search prefers the arrow step (the composed quotient
+    cohomology is realization-independent)."""
+    return path_realizations(space, word)[0]
 
 
 def compose_path(space: str, word: str, collar: str = "forced"):

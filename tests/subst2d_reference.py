@@ -8,7 +8,9 @@ the per-scheme window work (`_system_for_q`), the tuple-keyed union-find
 `tilecohom.subst2d` replaced, kept verbatim so the differential tests can
 demand identical windows, cells, matrices, rules and witnesses.  The
 row-patch `legal` (`RowSubstitution2D`), closure and `_master_index` that
-the flat squares of tile ids replaced are kept at the end, verbatim too.
+the flat squares of tile ids replaced are kept at the end, verbatim too,
+followed by the `canonical_realization` that took the minimum over all
+realizations of a path label before it became the first one found.
 Test-only code.
 """
 from __future__ import annotations
@@ -21,7 +23,8 @@ from tilecohom.complexes import CellularMap, CochainComplex
 from tilecohom.errors import NotWellDefined
 from tilecohom.subst2d import (CORNERS, MASTER_TILES, QUADS, Q_NE, Q_NW,
                                Q_SE, Q_SW, SIDES, collar_depth, decorate,
-                               edge_type, master_rule)
+                               edge_type, master_rule, path_realizations,
+                               scheme_parts)
 
 
 class Substitution2D(subst2d.Substitution2D):
@@ -540,3 +543,19 @@ def _master_index(r: int):
         h=sorted({(s[0, y], s[1, y]) for s in ids for y in (0, 1)}),
         v=sorted({(s[x, 0], s[x, 1]) for s in ids for x in (0, 1)}),
         corners=sorted({(s[0, 0], s[1, 0], s[0, 1], s[1, 1]) for s in ids}))
+
+
+def canonical_realization(space: str, word: str):
+    """The realization of a path label that compose_path composes.
+
+    Among the realizations of the label word, arrow-coarsening steps are
+    preferred over label-coarsening steps at each position (the composed
+    quotient cohomology is realization-independent; see path_realizations
+    to enumerate the alternatives).
+    """
+    def step_key(step):
+        fine, coarse = step
+        return 0 if scheme_parts(fine)[0] != scheme_parts(coarse)[0] else 1
+
+    return min(path_realizations(space, word),
+               key=lambda real: [step_key(s) for s in real])

@@ -67,6 +67,14 @@ class TestDrivers:
         q = compute_quotient("tm:1,1", "tm:1,1")
         assert all(e.is_zero() for e in q)
 
+    def test_compute_quotient_same_space_spelled_differently(self):
+        # names are compared as parsed spaces, as compute_space reads them
+        for fine, coarse in (("tm:2,1", "tm:2,01"), ("sol:05", "sol:5")):
+            q = compute_quotient(fine, coarse)
+            assert len(q) == 2 and all(e.is_zero() for e in q)
+        assert compute_quotient("tm:02,1", "pd:2,1") == \
+            compute_quotient("tm:2,1", "pd:2,1")
+
     def test_verify_1d(self):
         report = verify_all("1d")
         assert report and all(r["ok"] for r in report)

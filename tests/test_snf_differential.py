@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from snf_reference import dense_snf, dense_solve_matrix
 from tilecohom import subst2d
 from tilecohom.abelian import IntMatrix, kernel_basis, snf, solve, solve_matrix
-from tilecohom.complexes import cohomology
+from tilecohom.complexes import _reduce, cohomology
 
 FIELDS = ("U", "D", "V", "Uinv", "Vinv", "invariant_factors")
 
@@ -92,10 +92,16 @@ def test_chair_coboundaries_match_dense(scheme):
 
 
 def test_chair_cohomology_matrices_match_dense():
-    """Every kernel and cocycle|coboundary matrix that cohomology()
-    decomposes for chair:X,+, and the solve that yields its relations."""
+    """The two matrices that cohomology() decomposes for chair:X,+ in each
+    degree, and every kernel and cocycle|coboundary matrix, and the solve
+    that yields its relations, of the kernel-basis path it replaced."""
     cx = forced_complex("X,+")
+    red, _, _ = _reduce(cx)
     for k in range(cx.dimension + 1):
+        s = snf(red.coboundary(k - 1))
+        assert_same_snf(red.coboundary(k - 1))
+        assert_same_snf(red.coboundary(k) * s.Uinv.select_columns(
+            range(s.rank, red.n_cells(k))))
         kb = kernel_basis(cx.coboundary(k))
         assert_same_snf(kb)
         im = cx.coboundary(k - 1) if k else IntMatrix.zeros(cx.n_cells(k), 0)

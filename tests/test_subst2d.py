@@ -1,6 +1,9 @@
 """Decorated block-substitution family: rules, complexes, factor maps."""
+import itertools
+
 import pytest
 
+import subst2d_reference as ref
 from tilecohom import subst2d
 from tilecohom.errors import (InvalidPath, NotBorderForcing, NotWellDefined)
 from tilecohom.catalog import FactorPath, compute_path
@@ -14,6 +17,21 @@ from tilecohom.subst2d import (ARROW_ORDER, LABEL_ORDER, MASTER_TILES,
                                factor_map_edge, lattice_edges, lattice_steps,
                                legal_adjacencies, master_rule, master_system,
                                path_realizations)
+
+
+def _realizable_paths(max_len=4):
+    """Every (scheme, word) with a word of length <= max_len that has a
+    realization."""
+    out = []
+    for scheme in SCHEME_NAMES:
+        for n in range(1, max_len + 1):
+            for word in map("".join, itertools.product("ABC", repeat=n)):
+                try:
+                    path_realizations(scheme, word)
+                except InvalidPath:
+                    continue
+                out.append((scheme, word))
+    return out
 
 
 class TestMasterRule:
@@ -207,6 +225,14 @@ class TestLattice:
             path_realizations("X,+", "AD")
         with pytest.raises(InvalidPath):
             path_realizations("0,0", "A")
+
+    def test_canonical_realization_is_the_former_minimum(self):
+        # the first realization found is the one the step-key minimum chose
+        paths = _realizable_paths()
+        assert len(paths) == 28
+        for scheme, word in paths:
+            assert subst2d.canonical_realization(scheme, word) == \
+                ref.canonical_realization(scheme, word), (scheme, word)
 
     def test_lattice_steps_all_pairs(self):
         edges = {(fine, coarse) for _, fine, coarse in lattice_edges()}
