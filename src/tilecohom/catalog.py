@@ -186,12 +186,13 @@ def compute_quotient(fine: str, coarse: str, collar: str = "auto"):
     `collar` applies to chair pairs, as in compute_path: `auto` means
     forced collars (see _pair_collar).
     """
-    collar = check_collar(collar, fine, coarse)
+    collar = _pair_collar(check_collar(collar, fine, coarse))
     fid, cid = SpaceId.parse(fine), SpaceId.parse(coarse)
     if fid == cid:
+        if fid.family == "chair":   # `off` holds here too, or raises
+            subst2d.collar_depth(fid.scheme, collar)
         return [GroupExpr.zero() for _ in range(fid.dimension + 1)]
     if fid.family == "chair" and cid.family == "chair":
-        collar = _pair_collar(collar)
         f = subst2d.compose_realization(
             subst2d.lattice_steps(fid.scheme, cid.scheme), collar)
         _, sx = subst2d.ap_complex_2d(fid.scheme, collar)
@@ -245,6 +246,8 @@ def verify_all(scope: str = "all", grid=None):
     """Recompute golden/formula entries; mismatches are report rows."""
     if scope not in ("1d", "2d", "all"):
         raise InvalidPath(f"unknown verification scope {scope!r}")
+    if scope == "2d" and grid is not None:
+        raise InvalidPath("a 1-D grid does not apply to verify 2d")
     grid = tuple(grid) if grid is not None else DEFAULT_GRID
     report = []
     if scope in ("1d", "all"):

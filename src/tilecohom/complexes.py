@@ -8,8 +8,7 @@ computation available when the top cohomology of the target vanishes.
 """
 from __future__ import annotations
 
-from .abelian import (FgAbGroup, GroupHom, IntMatrix, _axpy, rank, snf,
-                      solve_matrix)
+from .abelian import FgAbGroup, GroupHom, IntMatrix, _axpy, rank, snf
 from .errors import (HypothesisFailed, NotACochainMap,
                      NotInjectiveOnCochains, NotWellDefined)
 from .limits import (TowerGroup, _dies_in_limit, classify, limit_les,
@@ -335,15 +334,18 @@ class QuotientComplex:
     """C^k_Q = C^k(X) / f*(C^k(Y)) for a cellular quotient map f: X -> Y.
 
     Carries projection and section matrices between the cochains of X and
-    the quotient basis (the non-representative cells of X).
+    the quotient basis (the non-representative cells of X), and `rep[k]`,
+    with one entry per cell j of Y: the sign s at (j, i) of its
+    representative cell i of X, so rep[k] * (f*_k y) = y.
     """
 
-    __slots__ = ("complex", "proj", "section")
+    __slots__ = ("complex", "proj", "section", "rep")
 
-    def __init__(self, complex_, proj, section):
+    def __init__(self, complex_, proj, section, rep):
         self.complex = complex_
         self.proj = proj
         self.section = section
+        self.rep = rep
 
 
 def quotient_complex(f: CellularMap) -> QuotientComplex:
@@ -356,7 +358,7 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
     if cached is not None:
         return cached
     pb = pullback(f, require_injective=True)
-    projs, sections, qcells = [], [], []
+    projs, sections, qcells, reps = [], [], [], []
     for k, p in enumerate(pb):
         # each source cell covers at most one target cell, with sign +-1;
         # f* is injective, so then every target cell gets a representative
@@ -389,6 +391,8 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
         sections.append(IntMatrix.from_entries(
             n, len(nonrep), {(i, idx): 1 for idx, i in enumerate(nonrep)}))
         qcells.append([x.cells[k][i] for i in nonrep])
+        reps.append(IntMatrix.from_entries(p.cols, n, {
+            (j, i): s for j, (i, s) in rep.items()}))
     deltas = []
     for k in range(x.dimension):
         deltas.append(projs[k + 1] * (x.coboundary(k) * sections[k]))
@@ -397,7 +401,7 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
             raise NotWellDefined(
                 f"coboundary does not descend to the quotient at degree {k}")
     qc = x._hcache[key] = QuotientComplex(CochainComplex(qcells, deltas),
-                                          projs, sections)
+                                          projs, sections, reps)
     return qc
 
 
@@ -436,11 +440,12 @@ def les_quotient(f: CellularMap, self_x: CellularMap, self_y: CellularMap):
         tx = cohomology_tower(x, self_x, k)
         tq = _quotient_cohomology_tower(qc, self_x, k)
         if k > 0:
-            # zig-zag connecting map H^(k-1)_Q -> H^k(Y) on cocycle bases
+            # zig-zag connecting map H^(k-1)_Q -> H^k(Y) on cocycle bases:
+            # the lift y through f* is read off the representative rows
             hq = towers[-1].group
             lifted = x.coboundary(k - 1) * (qc.section[k - 1] * hq.ambient_lift)
-            y_coords = solve_matrix(f.cochain[k], lifted)
-            if y_coords is None:
+            y_coords = qc.rep[k] * lifted
+            if f.cochain[k] * y_coords != lifted:
                 raise NotACochainMap("connecting map lift failed")
             coords = _express(ty.group, y_coords)
             if coords is None:

@@ -273,10 +273,13 @@ def _space_1d(name):
 
 
 def system_1d(name):
-    """(complex, self-map) of a named 1-D space at its default collar."""
+    """(complex, self-map) of a named 1-D space: its one complex, on which
+    the factor maps are built too (tm at the two-block code's depth 2, pd
+    at 1, sol at 0).  The depth does not change the limit (Anderson-Putnam,
+    ETDS 18)."""
     family, params = _space_1d(name)
     if family == "tm":
-        return tm_system(*params, 1)
+        return tm_system(*params, PHI_SOURCE_DEPTH)
     if family == "pd":
         return pd_system(*params, 1)
     return sol_system(*params, 0)
@@ -291,11 +294,7 @@ def factor_map_1d(source: str, target: str):
         f = (factor_map_psi if sf == "pd" else factor_map_psi_phi)(*sp)
     else:
         raise InvalidPath(f"no factor map from {source!r} to {target!r}")
-    # the self-maps of the complexes f is built on
-    _, sx = (tm_system(*sp, PHI_SOURCE_DEPTH) if sf == "tm"
-             else pd_system(*sp, 1))
-    _, sy = pd_system(*tp, 1) if tf == "pd" else sol_system(*tp, 0)
-    return f, sx, sy
+    return f, system_1d(source)[1], system_1d(target)[1]
 
 
 def absolute_cohomology_1d(name: str):
@@ -325,8 +324,8 @@ def verify_times2_ses(k: int, l: int):
     phi = factor_map_phi(k, l)
     psi = factor_map_psi(k, l)
     psiphi = factor_map_psi_phi(k, l)
-    _, s_tm = tm_system(k, l, PHI_SOURCE_DEPTH)
-    _, s_pd = pd_system(k, l, 1)
+    _, s_tm = system_1d(f"tm:{k},{l}")
+    _, s_pd = system_1d(f"pd:{k},{l}")
     qc1, t1 = _quotient_tower(psi, s_pd, 1)
     qc2, t2 = _quotient_tower(psiphi, s_tm, 1)
     qc3, t3 = _quotient_tower(phi, s_tm, 1)

@@ -119,6 +119,19 @@ class TestDrivers:
         assert compute_quotient("chair:/,0", "chair:0,0", "auto") \
             == compute_quotient("chair:/,0", "chair:0,0", "on")
 
+    def test_collar_off_honoured_for_same_chair_space(self):
+        # the same-space shortcut used to return zeros before the policy
+        # was resolved, so X,+ onto itself passed with off
+        with pytest.raises(NotBorderForcing):
+            compute_quotient("chair:X,+", "chair:X,+", "off")
+        q = compute_quotient("chair:0,0", "chair:0,0", "off")
+        assert len(q) == 3 and all(e.is_zero() for e in q)
+
+    def test_grid_rejected_for_verify_2d(self):
+        # the grid used to be ignored: verify 2d with a grid passed 87/87
+        with pytest.raises(InvalidPath, match="grid"):
+            verify_all("2d", grid=((1, 1),))
+
     @pytest.mark.parametrize("call", (
         lambda: compute_space("tm:2,1", "off"),
         lambda: compute_space("sol:3", "on"),

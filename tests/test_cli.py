@@ -108,6 +108,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "1d", "--grid", grid)
         assert code == 2 and not out and "grid" in err
 
+    def test_grid_with_2d_is_usage_error(self, capsys):
+        # the grid used to be ignored: 87/87 checks passed, exit 0
+        code, out, err = run(capsys, "verify", "2d", "--grid", "1,1")
+        assert code == 2 and not out and "grid" in err
+
     @pytest.mark.parametrize("scope", ["1d", "2d", "all"])
     def test_collar_rejected(self, capsys, scope):
         # verify's collars are fixed by the golden table; the flag used to
@@ -117,6 +122,12 @@ class TestVerify:
 
 
 class TestCollar:
+    def test_off_for_same_chair_space_not_border_forcing(self, capsys):
+        # the same-space shortcut used to print zeros and exit 0
+        code, out, err = run(capsys, "quotient", "chair:X,+", "chair:X,+",
+                             "--collar", "off")
+        assert code == 1 and not out and "does not force its border" in err
+
     @pytest.mark.parametrize("argv", [
         ("space", "tm:2,1", "--collar", "off"),
         ("space", "sol:3", "--collar", "on"),

@@ -60,10 +60,7 @@ def system(name):
     family, _, params = name.partition(":")
     if family == "chair":
         return subst2d.ap_complex_2d(params, "forced")
-    nums = [int(x) for x in params.split(",")]
-    if family == "sol":
-        return subst1d.sol_system(*nums, 0)
-    return {"tm": subst1d.tm_system, "pd": subst1d.pd_system}[family](*nums, 1)
+    return subst1d.system_1d(name)
 
 
 def path_map(word):

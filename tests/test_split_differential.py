@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import limits_reference as ref
 from test_eigen_differential import CASES, run_case
-from tilecohom import limits
+from tilecohom import limits, subst1d
 from tilecohom.abelian import IntMatrix
 from tilecohom.catalog import compute_quotient, compute_space
+from tilecohom.complexes import cohomology_tower
+from tilecohom.limits import classify
 
 GRID = tuple((k, l) for k in range(1, 17) for l in range(1, 17))
 
@@ -40,6 +42,9 @@ def run_grid():
             compute_space(name)
         for fine, coarse in ((tm, pd), (tm, sol), (pd, sol)):
             compute_quotient(fine, coarse)
+        # and the depth-1 tm towers, which no catalog query builds
+        for d in (0, 1):
+            classify(cohomology_tower(*subst1d.tm_system(k, l, 1), d))
 
 
 @pytest.mark.usefixtures("cold_caches")

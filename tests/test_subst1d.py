@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import subst1d_reference as ref
 
-from tilecohom.catalog import (SpaceId, expected_1d_quotient,
-                               expected_1d_space)
+from tilecohom.catalog import (SpaceId, compute_quotient, compute_space,
+                               expected_1d_quotient, expected_1d_space)
 from tilecohom.complexes import cohomology_tower
 from tilecohom.errors import InvalidPath, NotPrimitive
 from tilecohom.limits import classify, iso_check
@@ -15,7 +15,7 @@ from tilecohom.subst1d import (PHI_SOURCE_DEPTH, Substitution1D,
                                legal_words, pd_substitution,
                                quotient_cohomology_1d,
                                solenoid_substitution, tm_substitution,
-                               verify_times2_ses)
+                               tm_system, verify_times2_ses)
 
 GRID = ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2))
 
@@ -162,6 +162,31 @@ class TestComplexes:
             e2 = classify(cohomology_tower(*ap_complex_1d(s, 2), k))
             assert iso_check(e1, e2)
 
+
+    @pytest.mark.parametrize("kl", [(k, l) for k in range(1, 13)
+                                    for l in range(1, 13)]
+                             + [(1, 40), (40, 1), (40, 39), (33, 2), (20, 7),
+                                (25, 14)])
+    def test_tm_space_matches_depth_1(self, kl):
+        """The space query reads the depth-2 complex; its classified groups
+        are those of the depth-1 complex it replaced, an unclassified
+        verdict included."""
+        depth_1 = [classify(cohomology_tower(*tm_system(*kl, 1), k))
+                   for k in (0, 1)]
+        assert list(map(str, absolute_cohomology_1d(f"tm:{kl[0]},{kl[1]}"))) \
+            == list(map(str, depth_1))
+
+    def test_one_tm_complex_per_space(self, cold_caches):
+        """The space and both quotients of one tm:k,l build the depth-2
+        complex alone, and read it from tm_system's cache."""
+        tm, pd, sol = "tm:5,3", "pd:5,3", "sol:8"
+        compute_space(tm)
+        compute_quotient(tm, pd)
+        compute_quotient(tm, sol)
+        info = tm_system.cache_info()
+        assert info.currsize == 1
+        tm_system(5, 3, PHI_SOURCE_DEPTH)
+        assert tm_system.cache_info().misses == info.misses
 
     @pytest.mark.parametrize("family", [tm_substitution, pd_substitution])
     @pytest.mark.parametrize("r", [1, 2])

@@ -6,7 +6,7 @@ import pytest
 import subst2d_reference as ref
 from tilecohom import subst2d
 from tilecohom.errors import (InvalidPath, NotBorderForcing, NotWellDefined)
-from tilecohom.catalog import FactorPath, compute_path
+from tilecohom.catalog import FactorPath, compute_path, compute_space
 from tilecohom.limits import GroupExpr, classify, iso_check
 from tilecohom.complexes import cohomology_tower, les_quotient
 from tilecohom.subst2d import (ARROW_ORDER, LABEL_ORDER, MASTER_TILES,
@@ -191,6 +191,14 @@ class TestComplexes:
         cx, sm = ap_complex_2d("0,0", collar="forced")
         h1 = classify(cohomology_tower(cx, sm, 1))
         assert str(h1) == "Z[1/2]^2"
+
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_collar_depth_invariance(self, name):
+        """Depth-2 collars give the limit groups of forced depth-1 collars
+        (Anderson-Putnam, ETDS 18)."""
+        cx, sm, _, _ = subst2d._ap_complex_2d_depth(name, 2)
+        assert [classify(cohomology_tower(cx, sm, k)) for k in range(3)] \
+            == compute_space(f"chair:{name}", "forced")
 
     def test_label_only_scheme(self):
         cx, sm = ap_complex_2d("0,-")
