@@ -90,13 +90,18 @@ class IntMatrix:
         """The `{column: nonzero value}` dict of each row; read only."""
         return self._r
 
+    def _row_dict(self, i):
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside {self.rows}x{self.cols}")
+        return self._r[i]
+
     def entry(self, i, j):
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} outside {self.rows}x{self.cols}")
-        return self._r[i].get(j, 0)
+        return self._row_dict(i).get(j, 0)
 
     def row(self, i):
-        r = self._r[i]
+        r = self._row_dict(i)
         return [r.get(j, 0) for j in range(self.cols)]
 
     def col(self, j):
@@ -131,7 +136,7 @@ class IntMatrix:
         if not all(0 <= j < self.cols for j in col_idx):
             raise IndexError(f"column outside {self.rows}x{self.cols}")
         out = tuple({k: r[j] for k, j in enumerate(col_idx) if j in r}
-                    for r in map(self._r.__getitem__, row_idx))
+                    for r in map(self._row_dict, row_idx))
         return IntMatrix._of_rows(len(out), len(col_idx), out)
 
     def select_columns(self, col_idx):

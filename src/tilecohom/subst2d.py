@@ -98,12 +98,21 @@ class Substitution2D:
     """
 
     def __init__(self, tiles, rule):
-        self.tiles = tuple(sorted(set(tiles), key=repr))
-        self.rule = {t: dict(rule[t]) for t in self.tiles}
+        tiles = list(tiles)
+        known = set(tiles)
+        if len(known) < len(tiles):
+            raise NotWellDefined("repeated tile", witness=next(
+                t for i, t in enumerate(tiles) if t in tiles[:i]))
+        if not known >= rule.keys():
+            raise NotWellDefined("rule has an entry for a tile outside the "
+                                 "tile set", witness=next(
+                                     t for t in rule if t not in known))
+        self.tiles = tuple(sorted(known, key=repr))
+        self.rule = {t: dict(rule.get(t, ())) for t in self.tiles}
         for t, blk in self.rule.items():
             if blk.keys() != set(QUADS):
-                raise NotWellDefined("rule must give one child per quadrant",
-                                     witness=t)
+                raise NotWellDefined("rule must give every tile one child "
+                                     "per quadrant", witness=t)
             for child in blk.values():
                 if child not in self.rule:
                     raise NotWellDefined("rule is not closed on the tile set",
@@ -159,6 +168,8 @@ class Substitution2D:
     def legal(self, w, h):
         """All legal w x h patches, as rows, sorted by repr: cut from the
         legal max(w, h)-squares of the legal-patch closure."""
+        if w < 1 or h < 1:
+            raise ValueError(f"legal patches need w, h >= 1, got {w}x{h}")
         key = (w, h)
         if key not in self._legal_cache:
             n = max(w, h)
@@ -351,6 +362,8 @@ def legal_adjacencies(scheme, depth: int = 0):
         hp = {(w[0][0], w[0][1]) for w in scheme.legal(2, 1)}
         vp = {(w[0][0], w[1][0]) for w in scheme.legal(1, 2)}
         return sorted(hp, key=repr), sorted(vp, key=repr)
+    if depth < 0:
+        raise ValueError(f"collar depth must be >= 0, got {depth}")
     sysd = _collared_system(scheme, depth)
     classes = sysd["classes"]
     return tuple([(classes[a], classes[b]) for a, b in sysd[key]]
@@ -379,22 +392,21 @@ def border_forcing_check(scheme, max_power: int = 4):
 
 
 def _forcing_power(sub, max_power):
-    legal3 = sub.legal(3, 3)
+    """Least k <= max_power at which each legal 3-square's centre tile fixes
+    the ring around its k-supertile, or None: the facing sides of the edge
+    neighbours' k-supertiles and corners of the diagonal ones.  A tile's
+    k-fold S, N, W, E sides join two of its children's (k-1)-fold sides."""
+    squares = sub._squares(3)
+    sides = [((t,),) * 4 for t in range(len(sub.tiles))]
     for k in range(1, max_power + 1):
-        lo, hi = 2 ** k - 1, 2 ** (k + 1)
-        ring = [(i, j) for i in range(lo, hi + 1) for j in range(lo, hi + 1)
-                if i in (lo, hi) or j in (lo, hi)]
-        for t in sub.tiles:
-            rings = set()
-            for rows in legal3:
-                if rows[1][1] != t:
-                    continue
-                for _ in range(k):
-                    rows = sub.inflate(rows)
-                rings.add(tuple(rows[j][i] for i, j in ring))
-            if len(rings) > 1:
-                break
-        else:
+        sides = [(sides[sw][0] + sides[se][0], sides[nw][1] + sides[ne][1],
+                  sides[sw][2] + sides[nw][2], sides[se][3] + sides[ne][3])
+                 for nw, ne, sw, se in sub._kids]
+        rings = {(c, sides[s][1], sides[n][0], sides[w][3], sides[e][2],
+                  sides[sw][1][-1], sides[se][1][0], sides[nw][0][-1],
+                  sides[ne][0][0])
+                 for sw, s, se, w, c, e, nw, n, ne in squares}
+        if len(rings) == len({ring[0] for ring in rings}):
             return k
     return None
 

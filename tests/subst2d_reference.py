@@ -10,7 +10,8 @@ demand identical windows, cells, matrices, rules and witnesses.  The
 row-patch `legal` (`RowSubstitution2D`), closure and `_master_index` that
 the flat squares of tile ids replaced are kept at the end, verbatim too,
 followed by the `canonical_realization` that took the minimum over all
-realizations of a path label before it became the first one found.
+realizations of a path label before it became the first one found, and
+the row-patch `_forcing_power` that the side tables replaced.
 Test-only code.
 """
 from __future__ import annotations
@@ -559,3 +560,30 @@ def canonical_realization(space: str, word: str):
 
     return min(path_realizations(space, word),
                key=lambda real: [step_key(s) for s in real])
+
+
+# ---- the row-patch border-forcing test the side tables replaced ----
+#
+# `subst2d._forcing_power` as it stood when it inflated every legal 3x3
+# patch k times through the row-based `Substitution2D.inflate`: verbatim.
+
+
+def _forcing_power(sub, max_power):
+    legal3 = sub.legal(3, 3)
+    for k in range(1, max_power + 1):
+        lo, hi = 2 ** k - 1, 2 ** (k + 1)
+        ring = [(i, j) for i in range(lo, hi + 1) for j in range(lo, hi + 1)
+                if i in (lo, hi) or j in (lo, hi)]
+        for t in sub.tiles:
+            rings = set()
+            for rows in legal3:
+                if rows[1][1] != t:
+                    continue
+                for _ in range(k):
+                    rows = sub.inflate(rows)
+                rings.add(tuple(rows[j][i] for i, j in ring))
+            if len(rings) > 1:
+                break
+        else:
+            return k
+    return None

@@ -89,6 +89,17 @@ class TestFromEntries:
             IntMatrix.from_entries(2, 2, {at: 1})
 
 
+class TestRowBounds:
+    # a negative row index used to read a row from the end
+    @pytest.mark.parametrize("read", [
+        lambda a: a.entry(-1, 0), lambda a: a.row(-1),
+        lambda a: a.submatrix([-1], [0]), lambda a: a.submatrix([0, -2], [1]),
+    ], ids=["entry", "row", "submatrix", "submatrix-second"])
+    def test_rejects_negative_row(self, read):
+        with pytest.raises(IndexError):
+            read(M([[1, 2], [3, 4]]))
+
+
 class TestIntegerEntries:
     # int() used to truncate floats and parse strings: [[1.5, 2.7]] became
     # [[1, 2]] and '7' became 7

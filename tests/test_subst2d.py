@@ -10,7 +10,7 @@ from tilecohom.catalog import FactorPath, compute_path, compute_space
 from tilecohom.limits import GroupExpr, classify, iso_check
 from tilecohom.complexes import cohomology_tower, les_quotient
 from tilecohom.subst2d import (ARROW_ORDER, LABEL_ORDER, MASTER_TILES,
-                               SCHEME_NAMES, Substitution2D,
+                               QUADS, SCHEME_NAMES, Substitution2D,
                                ap_complex_2d, border_forcing_check,
                                collar_depth, compose_path, decorate,
                                descend_rule, edge_type, enumerate_prototiles,
@@ -102,6 +102,27 @@ class TestSchemes:
         hp, vp = legal_adjacencies(descend_rule("0,0"))
         assert hp and vp
 
+    @pytest.mark.parametrize("size", [(0, 1), (1, 0), (-1, 2), (0, 0)])
+    def test_legal_rejects_size_below_one(self, size):
+        with pytest.raises(ValueError):
+            descend_rule("X,0").legal(*size)
+
+    @pytest.mark.parametrize("depth", [-1, -2])
+    def test_legal_adjacencies_rejects_negative_depth(self, depth):
+        with pytest.raises(ValueError):
+            legal_adjacencies("X,0", depth)
+
+    # a repeated tile and a rule entry for a tile outside the tile set used
+    # to be dropped silently, and a tile without an entry raised KeyError
+    @pytest.mark.parametrize("tiles, entries, witness", [
+        ([0, 1, 0], (0, 1), 0), ([0], (0, 1), 1), ([0, 1], (0,), 1)],
+        ids=["repeated", "outside", "missing"])
+    def test_rule_input_rejected_with_witness(self, tiles, entries, witness):
+        rule = {t: dict.fromkeys(QUADS, 0) for t in entries}
+        with pytest.raises(NotWellDefined) as err:
+            Substitution2D(tiles, rule)
+        assert err.value.witness == witness
+
 
 class TestBorderForcing:
     def test_trivial_scheme_forces(self):
@@ -154,15 +175,16 @@ class TestBorderForcing:
     @pytest.mark.usefixtures("cold_caches")
     def test_repeat_check_inflates_nothing(self, monkeypatch):
         # a scheme name's answer is kept: after the first check, neither a
-        # second check nor an auto collar choice inflates a patch
+        # second check nor an auto collar choice enumerates legal squares,
+        # the only patches the side-table check reads
         calls = []
-        original = Substitution2D.inflate
+        original = Substitution2D._squares
 
-        def counting(self, rows):
-            calls.append(rows)
-            return original(self, rows)
+        def counting(self, n):
+            calls.append(n)
+            return original(self, n)
 
-        monkeypatch.setattr(Substitution2D, "inflate", counting)
+        monkeypatch.setattr(Substitution2D, "_squares", counting)
         assert border_forcing_check("X,0") is None
         assert calls
         calls.clear()
