@@ -384,8 +384,11 @@ def solve_matrix(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
     """X with A X = B; None if any column of B is unsolvable.
 
     With U A V = D: Y = U B, Z = D^-1 Y row by row (exactly, or not at
-    all), X = V Z.
+    all), X = V Z.  With no columns in A only B = 0 is solvable, by the
+    empty X, and no Smith form is taken.
     """
+    if A.cols == 0 and B.rows == A.rows:
+        return IntMatrix.zeros(0, B.cols) if B.is_zero() else None
     s = snf(A)
     y = (s.U * B)._r
     r = s.rank

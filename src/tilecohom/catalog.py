@@ -193,8 +193,7 @@ def compute_quotient(fine: str, coarse: str, collar: str = "auto"):
             subst2d.collar_depth(fid.scheme, collar)
         return [GroupExpr.zero() for _ in range(fid.dimension + 1)]
     if fid.family == "chair" and cid.family == "chair":
-        f = subst2d.compose_realization(
-            subst2d.lattice_steps(fid.scheme, cid.scheme), collar)
+        f = subst2d.factor_map_edge(fid.scheme, cid.scheme, collar)
         _, sx = subst2d.ap_complex_2d(fid.scheme, collar)
         _, sy = subst2d.ap_complex_2d(cid.scheme, collar)
     elif fid.family != "chair" and cid.family != "chair":
@@ -209,7 +208,7 @@ def compute_path(path: FactorPath, collar: str = "forced"):
     means forced collars; see _pair_collar)."""
     collar = _pair_collar(check_collar(collar))
     f = subst2d.compose_path(path.start, path.word, collar)
-    # self-maps of the endpoints of the realization compose_path composed
+    # self-maps of the endpoints of the realization compose_path followed
     end = subst2d.canonical_realization(path.start, path.word)[-1][1]
     _, sx = subst2d.ap_complex_2d(path.start, collar)
     _, sy = subst2d.ap_complex_2d(end, collar)

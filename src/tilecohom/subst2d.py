@@ -6,8 +6,8 @@ arrow's corner equal).  Nine decoration schemes coarsen the arrows (keep
 all / keep only the two diagonal ones / drop) and the labels (keep all
 four / keep left-right / drop); the substitution rule descends to every
 scheme, giving a lattice of factor maps.  This module builds the collared
-approximant complexes, the substitution self-maps, the one-step factor
-maps of the lattice, and composed paths.
+approximant complexes, the substitution self-maps, and the factor map
+between any two comparable schemes, which also serves every path.
 """
 from __future__ import annotations
 
@@ -356,9 +356,12 @@ def legal_adjacencies(scheme, depth: int = 0):
     """(hpairs, vpairs) of legal horizontally/vertically adjacent pairs.
 
     For a scheme name, pairs of collared classes at the given depth; for a
-    Substitution2D, pairs of its own tiles from supertile enumeration.
+    Substitution2D, which has no collars, pairs of its own tiles from
+    supertile enumeration, and a depth other than 0 is a ValueError.
     """
     if isinstance(scheme, Substitution2D):
+        if depth != 0:
+            raise ValueError(f"a Substitution2D has only depth 0, got {depth}")
         hp = {(w[0][0], w[0][1]) for w in scheme.legal(2, 1)}
         vp = {(w[0][0], w[1][0]) for w in scheme.legal(1, 2)}
         return sorted(hp, key=repr), sorted(vp, key=repr)
@@ -552,20 +555,6 @@ def lattice_edges():
     return out
 
 
-def lattice_steps(fine: str, coarse: str):
-    """The factor map fine -> coarse as a chain of lattice_edges() steps,
-    as (fine, coarse) pairs: the arrow steps first, then the label steps."""
-    fa, fl = scheme_parts(fine)
-    ca, cl = scheme_parts(coarse)
-    ai, aj = ARROW_ORDER.index(fa), ARROW_ORDER.index(ca)
-    li, lj = LABEL_ORDER.index(fl), LABEL_ORDER.index(cl)
-    if aj < ai or lj < li:
-        raise InvalidPath(f"no factor map from chair:{fine} to chair:{coarse}")
-    chain = ([f"{a},{fl}" for a in ARROW_ORDER[ai:aj + 1]]
-             + [f"{ca},{l}" for l in LABEL_ORDER[li + 1:lj + 1]])
-    return tuple(zip(chain, chain[1:]))
-
-
 def edge_type(fine: str, coarse: str) -> str:
     fa, fl = scheme_parts(fine)
     ca, cl = scheme_parts(coarse)
@@ -582,9 +571,18 @@ def edge_type(fine: str, coarse: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def factor_map_edge(fine: str, coarse: str, collar: str = "forced"):
-    """Cellular factor map between the complexes of two adjacent schemes."""
-    edge_type(fine, coarse)
-    r = max(collar_depth(fine, collar), collar_depth(coarse, collar))
+    """Cellular factor map between the complexes of two schemes, for any
+    coarse scheme strictly below fine in the lattice."""
+    (fa, fl), (ca, cl) = scheme_parts(fine), scheme_parts(coarse)
+    if fine == coarse or ARROW_ORDER.index(ca) < ARROW_ORDER.index(fa) \
+            or LABEL_ORDER.index(cl) < LABEL_ORDER.index(fl):
+        raise InvalidPath(f"no factor map from chair:{fine} to chair:{coarse}")
+    return _factor_map_depth(fine, coarse, max(collar_depth(fine, collar),
+                                               collar_depth(coarse, collar)))
+
+
+def _factor_map_depth(fine: str, coarse: str, r: int):
+    """The factor map fine -> coarse at collar depth r."""
     fcx, _, fe, fv = _ap_complex_2d_depth(fine, r)
     ccx, _, ce, cv = _ap_complex_2d_depth(coarse, r)
     fsys = _collared_system(fine, r)
@@ -635,7 +633,7 @@ def path_realizations(space: str, word: str):
 
 
 def canonical_realization(space: str, word: str):
-    """The realization of a path label that compose_path composes: the
+    """The realization of a path label that compose_path follows: the
     first one path_realizations finds.  lattice_edges lists each scheme's
     arrow-coarsening step before its label-coarsening step, so at each
     position the search prefers the arrow step (the composed quotient
@@ -644,13 +642,17 @@ def canonical_realization(space: str, word: str):
 
 
 def compose_path(space: str, word: str, collar: str = "forced"):
-    """Composite factor map for a path label, on its canonical_realization."""
+    """Factor map for a path label, along its canonical_realization."""
     return compose_realization(canonical_realization(space, word), collar)
 
 
 def compose_realization(steps, collar: str = "forced"):
-    maps = [factor_map_edge(f, c, collar) for f, c in steps]
-    out = maps[0]
-    for m in maps[1:]:
-        out = m.compose(out)
-    return out
+    """The factor map along a sequence of lattice edges, each starting
+    where the one before ends: the one map from the first scheme to the
+    last, read off the master windows like any pair's."""
+    for fine, coarse in steps:
+        edge_type(fine, coarse)
+        collar_depth(fine, collar)  # a collar error comes before a mismatch
+    if any(c != f for (_, c), (f, _) in zip(steps, steps[1:])):
+        raise ValueError("composition mismatch")
+    return factor_map_edge(steps[0][0], steps[-1][1], collar)

@@ -3,11 +3,14 @@
 These are the dense elimination and the column-by-column solver that the
 sparse `tilecohom.abelian.snf` and batched `solve_matrix` replaced, kept
 verbatim (without the memo cache) so the differential tests can demand
-bit-identical transforms, normal forms and solutions.  Test-only code.
+bit-identical transforms, normal forms and solutions.  `smith_solve_matrix`
+is the batched `solve_matrix` as it stood before it answered a matrix
+without columns by a zero test, verbatim: it takes a Smith form of every
+A.  Test-only code.
 """
 from __future__ import annotations
 
-from tilecohom.abelian import IntMatrix, SnfResult
+from tilecohom.abelian import IntMatrix, SnfResult, snf
 
 
 def _apply(M, vec):
@@ -159,3 +162,25 @@ def dense_solve_matrix(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
         cols.append(_apply(s.V, x))
     return IntMatrix(A.cols, len(cols),
                      [c[i] for i in range(A.cols) for c in cols])
+
+
+def smith_solve_matrix(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
+    """X with A X = B; None if any column of B is unsolvable.
+
+    With U A V = D: Y = U B, Z = D^-1 Y row by row (exactly, or not at
+    all), X = V Z.
+    """
+    s = snf(A)
+    y = (s.U * B)._r
+    r = s.rank
+    if any(y[r:]):
+        return None
+    z = []
+    for row, d in zip(y, s.invariant_factors):
+        if d != 1:
+            if any(x % d for x in row.values()):
+                return None
+            row = {j: x // d for j, x in row.items()}
+        z.append(row)
+    z.extend([{}] * (A.cols - r))
+    return s.V * IntMatrix._of_rows(A.cols, B.cols, tuple(z))

@@ -10,9 +10,10 @@ demand identical windows, cells, matrices, rules and witnesses.  The
 row-patch `legal` (`RowSubstitution2D`), closure and `_master_index` that
 the flat squares of tile ids replaced are kept at the end, verbatim too,
 followed by the `canonical_realization` that took the minimum over all
-realizations of a path label before it became the first one found, and
-the row-patch `_forcing_power` that the side tables replaced.
-Test-only code.
+realizations of a path label before it became the first one found, the
+row-patch `_forcing_power` that the side tables replaced, and the
+`lattice_steps` chain and the composing `compose_realization` that the
+factor map of any comparable pair replaced.  Test-only code.
 """
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ import functools
 from tilecohom import subst2d
 from tilecohom.abelian import IntMatrix
 from tilecohom.complexes import CellularMap, CochainComplex
-from tilecohom.errors import NotWellDefined
-from tilecohom.subst2d import (CORNERS, MASTER_TILES, QUADS, Q_NE, Q_NW,
-                               Q_SE, Q_SW, SIDES, collar_depth, decorate,
-                               edge_type, master_rule, path_realizations,
-                               scheme_parts)
+from tilecohom.errors import InvalidPath, NotWellDefined
+from tilecohom.subst2d import (ARROW_ORDER, CORNERS, LABEL_ORDER,
+                               MASTER_TILES, QUADS, Q_NE, Q_NW, Q_SE, Q_SW,
+                               SIDES, collar_depth, decorate, edge_type,
+                               master_rule, path_realizations, scheme_parts)
 
 
 class Substitution2D(subst2d.Substitution2D):
@@ -587,3 +588,41 @@ def _forcing_power(sub, max_power):
         else:
             return k
     return None
+
+
+# ---- the lattice chain and the composed maps the pair map replaced ----
+#
+# `subst2d.lattice_steps` and `subst2d.compose_realization` as they stood
+# when a quotient walked the chain of lattice edges and a path multiplied
+# its edge maps: verbatim, except that compose_realization calls
+# `edge_map`, the one-step factor_map_edge of that time (this module's
+# factor_map_edge is the tuple-keyed reference).
+
+
+def lattice_steps(fine: str, coarse: str):
+    """The factor map fine -> coarse as a chain of lattice_edges() steps,
+    as (fine, coarse) pairs: the arrow steps first, then the label steps."""
+    fa, fl = scheme_parts(fine)
+    ca, cl = scheme_parts(coarse)
+    ai, aj = ARROW_ORDER.index(fa), ARROW_ORDER.index(ca)
+    li, lj = LABEL_ORDER.index(fl), LABEL_ORDER.index(cl)
+    if aj < ai or lj < li:
+        raise InvalidPath(f"no factor map from chair:{fine} to chair:{coarse}")
+    chain = ([f"{a},{fl}" for a in ARROW_ORDER[ai:aj + 1]]
+             + [f"{ca},{l}" for l in LABEL_ORDER[li + 1:lj + 1]])
+    return tuple(zip(chain, chain[1:]))
+
+
+def edge_map(fine: str, coarse: str, collar: str = "forced"):
+    """factor_map_edge when it took lattice edges only: the edge check,
+    then the package's map of the pair, which has the same body."""
+    edge_type(fine, coarse)
+    return subst2d.factor_map_edge(fine, coarse, collar)
+
+
+def compose_realization(steps, collar: str = "forced"):
+    maps = [edge_map(f, c, collar) for f, c in steps]
+    out = maps[0]
+    for m in maps[1:]:
+        out = m.compose(out)
+    return out

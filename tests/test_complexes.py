@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subst2d_reference import lattice_steps
 from tilecohom.abelian import FgAbGroup, IntMatrix, kernel_basis, rank
 from tilecohom.catalog import PATH_STARTS, PATH_WORDS, catalog_factor_maps
 from tilecohom.complexes import (CellularMap, CochainComplex, _injective,
@@ -11,8 +12,7 @@ from tilecohom.complexes import (CellularMap, CochainComplex, _injective,
 from tilecohom.errors import (NotACochainMap, NotInjectiveOnCochains,
                               NotWellDefined)
 from tilecohom.limits import TowerGroup, classify
-from tilecohom.subst2d import (SCHEME_NAMES, compose_path,
-                               compose_realization, lattice_steps)
+from tilecohom.subst2d import SCHEME_NAMES, compose_path, compose_realization
 
 
 def M(rows):

@@ -8,8 +8,8 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snf_reference import dense_snf, dense_solve_matrix
-from tilecohom import subst2d
+from snf_reference import dense_snf, dense_solve_matrix, smith_solve_matrix
+from tilecohom import abelian, subst2d
 from tilecohom.abelian import IntMatrix, kernel_basis, snf, solve, solve_matrix
 from tilecohom.complexes import _reduce, cohomology
 
@@ -57,6 +57,37 @@ def test_solve_matrix_matches_dense(a, p, data):
         col = solve(a, b.col(0))
         ref = dense_solve_matrix(a, b.select_columns([0]))
         assert col == (None if ref is None else ref.col(0))
+
+
+def _outcome(solver, a, b):
+    try:
+        return solver(a, b)
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+# A without columns, often, and B with a wrong row count now and then
+@settings(max_examples=400)
+@given(st.integers(0, 6), st.sampled_from([0, 0, 0, 1, 2, 4]),
+       st.integers(0, 3), st.data())
+def test_solve_matrix_matches_smith_solve(m, n, p, data):
+    a = data.draw(shaped(m, n, entries))
+    rows = data.draw(st.sampled_from([m] * 5 + [m + 1, max(m - 1, 0)]))
+    b = data.draw(shaped(rows, p, st.sampled_from([0, 0, 0, 1, -2, 3])))
+    assert _outcome(solve_matrix, a, b) == _outcome(smith_solve_matrix, a, b)
+
+
+def test_zero_column_solve_takes_no_smith_form(monkeypatch):
+    def no_snf(a):
+        raise AssertionError("snf called")
+
+    monkeypatch.setattr(abelian, "snf", no_snf)
+    zero, one = IntMatrix.zeros(3, 2), IntMatrix.from_rows([[0], [1], [0]])
+    assert solve_matrix(IntMatrix.zeros(3, 0), zero) == IntMatrix.zeros(0, 2)
+    assert solve_matrix(IntMatrix.zeros(3, 0), one) is None
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve_matrix(IntMatrix.zeros(2, 0), zero)
 
 
 @pytest.mark.parametrize("rows", [

@@ -14,7 +14,7 @@ from tilecohom.subst2d import (ARROW_ORDER, LABEL_ORDER, MASTER_TILES,
                                ap_complex_2d, border_forcing_check,
                                collar_depth, compose_path, decorate,
                                descend_rule, edge_type, enumerate_prototiles,
-                               factor_map_edge, lattice_edges, lattice_steps,
+                               factor_map_edge, lattice_edges,
                                legal_adjacencies, master_rule, master_system,
                                path_realizations)
 
@@ -111,6 +111,14 @@ class TestSchemes:
     def test_legal_adjacencies_rejects_negative_depth(self, depth):
         with pytest.raises(ValueError):
             legal_adjacencies("X,0", depth)
+
+    # a rule has no collars; a depth used to be ignored without an error
+    @pytest.mark.parametrize("depth", [5, 1, -3])
+    def test_legal_adjacencies_of_a_rule_refuse_a_depth(self, depth):
+        sub = descend_rule("0,0")
+        assert legal_adjacencies(sub, 0) == legal_adjacencies(sub)
+        with pytest.raises(ValueError):
+            legal_adjacencies(sub, depth)
 
     # a repeated tile and a rule entry for a tile outside the tile set used
     # to be dropped silently, and a tile without an entry raised KeyError
@@ -238,6 +246,19 @@ class TestLattice:
         with pytest.raises(InvalidPath):
             edge_type("X,+", "0,0")  # not a single step
 
+    @pytest.mark.parametrize("fine, coarse",
+                             [(f, c) for _, f, c in lattice_edges()])
+    def test_edge_collar_depth_invariance(self, fine, coarse):
+        """Depth-2 collars give the Y, X and Q limits of forced depth-1
+        collars on every lattice edge (Anderson-Putnam, ETDS 18)."""
+        def groups(r):
+            res = les_quotient(subst2d._factor_map_depth(fine, coarse, r),
+                               subst2d._ap_complex_2d_depth(fine, r)[1],
+                               subst2d._ap_complex_2d_depth(coarse, r)[1])
+            return [res[key] for key in ("Y", "X", "Q")]
+
+        assert groups(2) == groups(1)
+
     def test_edge_quotient_type_c(self):
         f = factor_map_edge("/,0", "0,0")
         cx_f, sm_f = ap_complex_2d("/,0", "forced")
@@ -274,9 +295,9 @@ class TestLattice:
             for coarse in SCHEME_NAMES:
                 if coarse not in below[fine]:
                     with pytest.raises(InvalidPath):
-                        lattice_steps(fine, coarse)
+                        ref.lattice_steps(fine, coarse)
                     continue
-                steps = lattice_steps(fine, coarse)
+                steps = ref.lattice_steps(fine, coarse)
                 assert all(step in edges for step in steps)
                 chain = [fine] + [c for _, c in steps]
                 assert [f for f, _ in steps] == chain[:-1]
