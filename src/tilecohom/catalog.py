@@ -241,13 +241,24 @@ def _check(kind, key, degree, expected, computed):
             "expected": str(expected), "computed": str(computed), "ok": ok}
 
 
+def _grid_pair(pair):
+    """(k, l) of a 1-D grid pair, read as the name tm:k,l reads them;
+    sol:k+l and pd:k,l are names when tm:k,l is."""
+    k, l = pair
+    try:
+        return SpaceId.parse(f"tm:{k},{l}").params
+    except InvalidPath as e:
+        raise InvalidPath(f"grid pair {k},{l}: {e}") from None
+
+
 def verify_all(scope: str = "all", grid=None):
     """Recompute golden/formula entries; mismatches are report rows."""
     if scope not in ("1d", "2d", "all"):
         raise InvalidPath(f"unknown verification scope {scope!r}")
     if scope == "2d" and grid is not None:
         raise InvalidPath("a 1-D grid does not apply to verify 2d")
-    grid = tuple(grid) if grid is not None else DEFAULT_GRID
+    # every pair is read before any is computed
+    grid = tuple(map(_grid_pair, grid if grid is not None else DEFAULT_GRID))
     report = []
     if scope in ("1d", "all"):
         for k, l in grid:

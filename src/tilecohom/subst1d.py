@@ -252,15 +252,30 @@ def factor_map_psi_phi(k: int, l: int) -> CellularMap:
     return factor_map_psi(k, l).compose(factor_map_phi(k, l))
 
 
+# the longest rule image a 1-D name may ask for, in letters: k + l for
+# tm:k,l and pd:k,l, m for sol:m
+MAX_IMAGE = 10 ** 6
+
+
+def decimal(text: str) -> int:
+    """The int that a string of ASCII decimal digits spells.  int() alone
+    also reads signs, blanks, underscores and non-ASCII digits; those, and
+    more than int()'s 4300 digits, raise ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal parameter: {text!r}")
+    return int(text)
+
+
 def _space_1d(name):
     """(family, params) of a 1-D space name: tm:k,l or pd:k,l with k, l >= 1,
-    or sol:m with m >= 2.  catalog.SpaceId.parse reads 1-D names with it."""
+    or sol:m with m >= 2, whose rule images are at most MAX_IMAGE letters
+    long.  catalog.SpaceId.parse reads 1-D names with it."""
     family, _, rest = name.partition(":")
     arity = {"tm": 2, "pd": 2, "sol": 1}.get(family)
     if arity is None:
         raise InvalidPath(f"unknown 1-D space family in {name!r}")
     try:
-        params = tuple(int(x) for x in rest.split(","))
+        params = tuple(map(decimal, rest.split(",")))
     except ValueError:
         params = ()
     if len(params) != arity:
@@ -269,6 +284,9 @@ def _space_1d(name):
         raise InvalidPath(f"solenoid base must be >= 2 in {name!r}")
     if min(params) < 1:
         raise InvalidPath(f"parameters must be >= 1 in {name!r}")
+    if sum(params) > MAX_IMAGE:   # checked before any word is built
+        raise InvalidPath(f"rule image longer than MAX_IMAGE = {MAX_IMAGE} "
+                          f"letters in {name!r}")
     return family, params
 
 

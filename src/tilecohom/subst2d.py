@@ -650,6 +650,8 @@ def compose_realization(steps, collar: str = "forced"):
     """The factor map along a sequence of lattice edges, each starting
     where the one before ends: the one map from the first scheme to the
     last, read off the master windows like any pair's."""
+    if not steps:
+        raise InvalidPath("an empty realization has no factor map")
     for fine, coarse in steps:
         edge_type(fine, coarse)
         collar_depth(fine, collar)  # a collar error comes before a mismatch

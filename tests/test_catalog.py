@@ -1,7 +1,7 @@
 """Space catalog: names, golden tables, verification drivers."""
 import pytest
 
-from tilecohom import subst2d
+from tilecohom import catalog, subst2d
 from tilecohom.catalog import (PATH_STARTS, PATH_WORDS, FactorPath, SpaceId,
                                catalog_factor_maps, compute_path,
                                compute_quotient, compute_space,
@@ -126,6 +126,24 @@ class TestDrivers:
             compute_quotient("chair:X,+", "chair:X,+", "off")
         q = compute_quotient("chair:0,0", "chair:0,0", "off")
         assert len(q) == 3 and all(e.is_zero() for e in q)
+
+    @pytest.mark.parametrize("grid", [((0, 0),), ((2, 1), (0, 3)),
+                                      ((2, 1), (999999, 2))])
+    def test_bad_grid_pair_named_before_any_check(self, grid, monkeypatch):
+        # (0, 0) used to report 'sol:0', a space nobody asked for, and
+        # ((2, 1), (0, 3)) computed the pair 2,1 before refusing
+        def no_compute(*args):
+            raise AssertionError("computed before the grid was checked")
+
+        monkeypatch.setattr(catalog, "compute_space", no_compute)
+        k, l = grid[-1]
+        with pytest.raises(InvalidPath, match=f"^grid pair {k},{l}: "):
+            verify_all("1d", grid=grid)
+
+    def test_grid_pair_read_as_its_name(self):
+        # ("2", "1") used to check tm:2,1 and pd:2,1, then fail on 'sol:21'
+        assert verify_all("1d", grid=(("2", "01"),)) == \
+            verify_all("1d", grid=((2, 1),))
 
     def test_grid_rejected_for_verify_2d(self):
         # the grid used to be ignored: verify 2d with a grid passed 87/87

@@ -1,9 +1,16 @@
 """Command-line interface: output grammar, JSON documents, exit codes."""
+import contextlib
+import io
 import json
+import os
 import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tilecohom import catalog, subst2d
 from tilecohom.abelian import FgAbGroup, GroupHom, IntMatrix
@@ -79,6 +86,19 @@ class TestPath:
         assert code == 1 and not out and "does not force its border" in err
 
 
+class TestOneDNames:
+    @pytest.mark.parametrize("name", ["tm:1_0,+1", "tm:+2,1", "tm:\u0663,1",
+                                      "tm: 2,1", "pd:99999999999999999999,1",
+                                      "sol:1000001"])
+    def test_refused_with_one_line(self, capsys, name):
+        # these used to run as tm:10,1, tm:2,1, tm:3,1 and tm:2,1, to end in
+        # an OverflowError traceback, and to build a 10**6-letter image
+        code, out, err = run(capsys, "space", name)
+        assert code == 2 and not out
+        line, = err.splitlines()
+        assert line.startswith("error: ")
+
+
 class TestVerify:
     def test_verify_1d_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "1d")
@@ -107,6 +127,21 @@ class TestVerify:
         # 0; "" used to fall back to DEFAULT_GRID
         code, out, err = run(capsys, "verify", "1d", "--grid", grid)
         assert code == 2 and not out and "grid" in err
+
+    @pytest.mark.parametrize("grid", ["1_0,+1", "+2,1", " 2,1", "\u0663,1"])
+    def test_grid_digits_are_ascii(self, capsys, grid):
+        # "1_0,+1" used to run the pair 10,1 and exit 0
+        code, out, err = run(capsys, "verify", "1d", "--grid", grid)
+        assert code == 2 and not out and "cannot parse grid" in err
+
+    @pytest.mark.parametrize("grid", ["0,0", "2,1;0,3"])
+    def test_grid_pair_named(self, capsys, grid):
+        # 0,0 used to report 'sol:0', a space nobody typed
+        code, out, err = run(capsys, "verify", "1d", "--grid", grid)
+        pair = grid.split(";")[-1]
+        assert code == 2 and not out
+        line, = err.splitlines()
+        assert line.startswith(f"error: grid pair {pair}: ")
 
     def test_grid_with_2d_is_usage_error(self, capsys):
         # the grid used to be ignored: 87/87 checks passed, exit 0
@@ -264,3 +299,143 @@ class TestMisc:
         code, out, _ = run(capsys, "space", "sol:2", "--timeout-sec", "60")
         assert code == 0
         assert out.strip() == "H^0 = Z; H^1 = Z[1/2]"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# stdout block-buffered, as on a pipe by default
+ENV = {key: val for key, val in os.environ.items()
+       if key != "PYTHONUNBUFFERED"} | {"PYTHONPATH": str(ROOT / "src")}
+# the process a CLI query was before run(): main(), then a normal exit
+REFERENCE = "import sys; from tilecohom.cli import main; sys.exit(main())"
+
+
+def process(args, stdout=subprocess.PIPE):
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=ENV,
+                          cwd=ROOT, timeout=300)
+
+
+class TestProcess:
+    """`python -m tilecohom.cli` goes through run(): it ends the process
+    with os._exit after main() returns, unless a hook is set."""
+
+    def test_long_output_complete(self, capsys):
+        # about 330 KB, more than a pipe buffer holds
+        p = process(["-m", "tilecohom.cli", "dump", "chair:X,+"])
+        code, out, _ = run(capsys, "dump", "chair:X,+")
+        assert p.returncode == code == 0 and p.stderr == ""
+        assert len(out) > 300_000 and p.stdout == out
+
+    @pytest.mark.parametrize("argv, status", [
+        (["space", "tm:2,1"], 0),
+        (["space", "chair:X,0", "--collar", "off"], 1),
+        (["space", "foo:1"], 2),
+        (["--help"], 0),
+    ])
+    def test_status_and_streams(self, argv, status):
+        p = process(["-m", "tilecohom.cli", *argv])
+        ref = process(["-c", REFERENCE, *argv])
+        assert p.returncode == ref.returncode == status
+        assert (p.stdout, p.stderr) == (ref.stdout, ref.stderr)
+        if status:
+            line, = p.stderr.splitlines()
+            assert line.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["space", "tm:2,1"],
+                                      ["dump", "chair:X,+"]])
+    def test_stdout_on_closed_pipe(self, argv):
+        def last_stderr_line(args):
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                p = process(args, stdout=w)
+            finally:
+                os.close(w)
+            return p.returncode, p.stderr.splitlines()[-1:]
+        assert last_stderr_line(["-m", "tilecohom.cli", *argv]) == \
+            last_stderr_line(["-c", REFERENCE, *argv])
+
+    def test_profile_still_written(self):
+        p = process(["-m", "cProfile", "-m", "tilecohom.cli",
+                     "space", "tm:2,1"])
+        assert p.returncode == 0
+        assert p.stdout.startswith("H^0 = Z; H^1 = Z[1/3] + Z^2\n")
+        assert "function calls" in p.stdout
+
+    def test_import_registers_no_atexit_callback(self):
+        p = process(["-c", "import atexit; n = atexit._ncallbacks(); "
+                     "import tilecohom.cli; print(atexit._ncallbacks() - n)"])
+        assert p.returncode == 0 and p.stdout == "0\n"
+
+    @pytest.mark.parametrize("hook, teardown", [
+        ("", False),
+        ("sys.settrace(lambda *a: None); ", True),
+        ("sys.setprofile(lambda *a: None); ", True),
+    ])
+    def test_teardown_skipped_unless_hooked(self, hook, teardown):
+        p = process(["-c", "import atexit, sys; from tilecohom.cli import run; "
+                     f"atexit.register(print, 'teardown'); {hook}run()",
+                     "space", "tm:2,1"])
+        assert p.returncode == 0 and p.stderr == ""
+        assert p.stdout == "H^0 = Z; H^1 = Z[1/3] + Z^2\n" + \
+            "teardown\n" * teardown
+
+
+# parameters: small (most often), past the MAX_IMAGE bound, past int()'s
+# 4300 digits, negative, signed, with underscores or blanks, non-ASCII
+# digits, junk
+_SMALL = st.integers(0, 60).map(str)
+_PARAM = st.one_of(
+    _SMALL, _SMALL, _SMALL, _SMALL, _SMALL, _SMALL,
+    st.integers(10 ** 7, 10 ** 30).map(str),
+    st.just("9" * 4301),
+    st.integers(-60, -1).map(str),
+    st.sampled_from(["+2", "1_0", " 2", "2 ", "\u0663", "\u00b2", "", "x",
+                     "0x1", "1.0", "-0", "02"]))
+_CHAIR = st.sampled_from(subst2d.SCHEME_NAMES + ("Y,+", "X", "X,+,0", "")) \
+    .map("chair:{}".format)
+_NAME = st.one_of(
+    st.builds("{}:{},{}".format, st.sampled_from(["tm", "pd"]), _PARAM,
+              _PARAM),
+    st.builds("sol:{}".format, _PARAM),
+    _CHAIR,
+    st.builds(lambda f, ps: f"{f}:{','.join(ps)}",   # arity, unknown family
+              st.sampled_from(["tm", "pd", "sol", "foo", ""]),
+              st.lists(_PARAM, max_size=3)),
+    st.sampled_from(["tm", "chair", ":", ""]))
+_COLLAR = st.sampled_from([[], ["--collar", "auto"], ["--collar", "on"],
+                           ["--collar", "off"], ["--collar", "sideways"]])
+_GRID = st.lists(st.one_of(st.builds("{},{}".format, _PARAM, _PARAM),
+                           st.lists(_PARAM, max_size=3).map(",".join)),
+                 max_size=3).map(";".join)
+_ARGV = st.one_of(
+    st.tuples(st.just(["space"]), _NAME.map(lambda n: [n]), _COLLAR),
+    st.tuples(st.just(["quotient"]), st.lists(_NAME, min_size=2, max_size=2),
+              _COLLAR),
+    st.tuples(st.just(["path"]),
+              st.tuples(st.one_of(_CHAIR, _CHAIR, _NAME),
+                        st.one_of(st.text("ABC", min_size=1, max_size=4),
+                                  st.text("ABCa ", max_size=3))).map(list),
+              _COLLAR),
+    st.tuples(st.just(["dump"]), _NAME.map(lambda n: [n]), _COLLAR),
+    st.tuples(st.just(["verify", "1d"]),
+              st.one_of(st.just([]), _GRID.map(lambda g: ["--grid", g])),
+              st.just([])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV, st.booleans())
+def test_fuzz_main(parts, as_json):
+    """Over the grammar, main() ends with 0, 1 or 2, and a failure is one
+    error: line on stderr, never a traceback."""
+    argv = [a for part in parts for a in part] + ["--json"] * as_json
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    err = err.getvalue()
+    assert "Traceback" not in err, argv
+    if code == 1 and argv[0] == "verify" and not err:   # a failed check
+        assert "FAIL" in out.getvalue() or '"ok": false' in out.getvalue()
+    elif code:
+        assert sum("error:" in line for line in err.splitlines()) == 1, argv

@@ -23,11 +23,9 @@ from tilecohom.subst2d import (SCHEME_NAMES, canonical_realization,
 
 def _outcome(build):
     """The map's complexes and chain matrices, or the error's type and
-    message (an IndexError's names the sequence type, so only its type)."""
+    message."""
     try:
         f = build()
-    except IndexError:
-        return IndexError
     except (InvalidPath, NotBorderForcing, ValueError) as e:
         return type(e), str(e)
     return f.source, f.target, f.chain
@@ -77,11 +75,19 @@ def test_paths_match_the_composed_realization():
     (("/,+", "0,+"), ("X,+", "/,+")),          # no chain, back to the start
     (("X,+", "/,+"), ("/,+", "/,+")),          # a step that stays put
     (("X,+", "/,+"), ("Y,+", "/,+")),          # an unknown scheme
-    ()])
+])
 @pytest.mark.parametrize("collar", ["forced", "auto", "off", "sideways"])
 def test_realization_errors_match_the_composing_version(steps, collar):
     assert _outcome(lambda: compose_realization(steps, collar)) == \
         _outcome(lambda: ref.compose_realization(steps, collar))
+
+
+@pytest.mark.parametrize("steps", [(), []])
+@pytest.mark.parametrize("collar", ["forced", "auto", "off", "sideways"])
+def test_empty_realization_is_invalid_path(steps, collar):
+    # this used to raise a bare IndexError, as the composing version does
+    with pytest.raises(InvalidPath, match="empty realization"):
+        compose_realization(steps, collar)
 
 
 def test_no_chair_query_multiplies_maps(cold_caches, monkeypatch):

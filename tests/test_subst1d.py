@@ -9,7 +9,7 @@ from tilecohom.catalog import (SpaceId, compute_quotient, compute_space,
 from tilecohom.complexes import cohomology_tower
 from tilecohom.errors import InvalidPath, NotPrimitive
 from tilecohom.limits import classify, iso_check
-from tilecohom.subst1d import (PHI_SOURCE_DEPTH, Substitution1D,
+from tilecohom.subst1d import (MAX_IMAGE, PHI_SOURCE_DEPTH, Substitution1D,
                                absolute_cohomology_1d, ap_complex_1d,
                                factor_map_1d, factor_map_phi,
                                legal_words, pd_substitution,
@@ -18,6 +18,9 @@ from tilecohom.subst1d import (PHI_SOURCE_DEPTH, Substitution1D,
                                tm_system, verify_times2_ses)
 
 GRID = ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2))
+# parameters past int()'s 4300-digit limit, the second one worth 1
+LONG_SOL = pytest.param("sol:" + "9" * 4301, id="sol:9x4301")
+LONG_TM = pytest.param("tm:1," + "0" * 4300 + "1", id="tm:1,0x4300+1")
 
 
 class TestSubstitutions:
@@ -224,16 +227,22 @@ class TestAbsolute:
 
     @pytest.mark.parametrize("name", ("tm:a,b", "tm:0,1", "pd:2,0", "sol:1",
                                       "sol:x", "tm:2", "tm:2,1,3", "sol:",
-                                      "chair:X,+"))
+                                      "chair:X,+", "tm:1_0,+1", "tm:+2,1",
+                                      "tm:\u0663,1", "tm: 2,1", "tm:2,1 ",
+                                      "pd:2,-1", LONG_SOL, LONG_TM))
     def test_malformed_name_is_invalid_path(self, name):
         # these used to raise a bare ValueError from int() or from the
-        # substitution constructors
+        # substitution constructors; int() also read tm:1_0,+1 as tm:10,1,
+        # and more than 4300 digits make it raise
         with pytest.raises(InvalidPath):
             absolute_cohomology_1d(name)
 
     @pytest.mark.parametrize("name", ("tm:2,1", "pd:1,3", "sol:2", "tm:a,b",
                                       "tm:0,1", "sol:1", "pd:2", "sol:3,1",
-                                      "foo:1"))
+                                      "foo:1", "tm:1_0,+1", "tm:+2,1",
+                                      "tm:\u0663,1", "tm: 2,1",
+                                      "pd:99999999999999999999,1",
+                                      LONG_SOL))
     def test_one_rule_with_space_id(self, name):
         """SpaceId.parse and the 1-D functions accept the same names."""
         def accepts(fn):
@@ -243,6 +252,22 @@ class TestAbsolute:
                 return False
             return True
         assert accepts(SpaceId.parse) == accepts(absolute_cohomology_1d)
+
+    @pytest.mark.parametrize("name", ("pd:99999999999999999999,1",
+                                      "sol:1000001", "tm:500000,500001",
+                                      "pd:1,1000000", "sol:10000000"))
+    def test_rule_image_bound(self, name):
+        # pd:99999999999999999999,1 used to end in an OverflowError; the
+        # others were accepted and built their rule images
+        with pytest.raises(InvalidPath, match="MAX_IMAGE"):
+            SpaceId.parse(name)
+        with pytest.raises(InvalidPath, match="MAX_IMAGE"):
+            absolute_cohomology_1d(name)
+
+    def test_rule_image_bound_is_inclusive(self):
+        assert MAX_IMAGE == 10 ** 6
+        # parsing builds no word
+        assert SpaceId.parse("sol:1000000").params == (MAX_IMAGE,)
 
 
 class TestQuotients:
