@@ -15,6 +15,7 @@ from . import subst1d, subst2d
 from .complexes import cohomology_tower, lemma1_shortcut, les_quotient
 from .errors import InvalidPath
 from .limits import GroupExpr, classify, radical
+from .subst2d import SpaceId
 
 DEFAULT_GRID = ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2))
 PATH_WORDS = ("A", "B", "C", "AA", "AB", "AAB", "BC", "AC", "AAC", "BAC",
@@ -24,35 +25,6 @@ PATH_STARTS = {"A": "X,+", "B": "X,+", "C": "/,0", "AA": "X,+", "AB": "X,+",
                "AAB": "X,+", "BC": "0,+", "AC": "X,0", "AAC": "X,-",
                "BAC": "/,+", "ABAC": "X,+"}
 CHAIR_SPACES = tuple(f"chair:{s}" for s in subst2d.SCHEME_NAMES)
-
-
-@dataclass(frozen=True)
-class SpaceId:
-    """Parsed space name: family plus parameters."""
-
-    family: str
-    params: tuple
-
-    @classmethod
-    def parse(cls, name: str) -> "SpaceId":
-        family, _, rest = name.partition(":")
-        if family == "chair":
-            subst2d.scheme_parts(rest)
-            return cls(family, tuple(rest.split(",")))
-        return cls(*subst1d._space_1d(name))
-
-    def __str__(self):
-        return f"{self.family}:{','.join(str(p) for p in self.params)}"
-
-    @property
-    def scheme(self) -> str:
-        if self.family != "chair":
-            raise InvalidPath(f"{self} is not a two-dimensional space")
-        return ",".join(self.params)
-
-    @property
-    def dimension(self) -> int:
-        return 2 if self.family == "chair" else 1
 
 
 @dataclass(frozen=True)
@@ -141,61 +113,30 @@ def expected_1d_quotient(fine: SpaceId, coarse: SpaceId):
 
 # ---- computations ----
 
-def check_collar(collar: str, *names) -> str:
-    """The collar policy `collar` for the spaces `names`, or InvalidPath.
-
-    The policies are auto, on (alias forced) and off.  Only chair:* spaces
-    have collars, so on and off with a 1-D name are rejected rather than
-    ignored.  Returns the policy with on spelled forced.
-    """
-    if collar not in ("auto", "on", "forced", "off"):
-        raise InvalidPath(f"collar must be auto, on, forced or off, "
-                          f"not {collar!r}")
-    if collar != "auto":
-        for name in names:
-            if SpaceId.parse(name).family != "chair":
-                raise InvalidPath(f"collar {collar} applies only to chair:* "
-                                  f"spaces, not {name}")
-    return "forced" if collar == "on" else collar
-
-
 def compute_space(name: str, collar: str = "auto"):
     """Classified [H^0, ..., H^dim] of a named space."""
-    collar = check_collar(collar, name)
-    sid = SpaceId.parse(name)
-    if sid.family == "chair":
-        cx, sm = subst2d.ap_complex_2d(sid.scheme, collar)
-        return [classify(cohomology_tower(cx, sm, k)) for k in (0, 1, 2)]
-    return subst1d.absolute_cohomology_1d(name)
-
-
-def _pair_collar(collar: str) -> str:
-    """Collar policy for a factor map between chair spaces.
-
-    One collar depth must serve every complex on the path, and of the nine
-    schemes only 0,0 forces its border, so `auto` keeps forced collars.
-    `off` computes on uncollared complexes, or raises NotBorderForcing as
-    it does for every pair of named schemes.
-    """
-    return "forced" if collar == "auto" else collar
+    (sid,), depth = subst2d.resolve_collar(collar, (name,))
+    if sid.family != "chair":
+        return subst1d.absolute_cohomology_1d(name)
+    cx, sm = subst2d.ap_complex_2d(sid.scheme, depth)
+    return [classify(cohomology_tower(cx, sm, k)) for k in (0, 1, 2)]
 
 
 def compute_quotient(fine: str, coarse: str, collar: str = "auto"):
     """Classified quotient cohomology [H^0_Q, ..., H^dim_Q] of a pair.
 
     `collar` applies to chair pairs, as in compute_path: `auto` means
-    forced collars (see _pair_collar).
+    depth 1 (see subst2d.resolve_collar).
     """
-    collar = _pair_collar(check_collar(collar, fine, coarse))
-    fid, cid = SpaceId.parse(fine), SpaceId.parse(coarse)
+    (fid, cid), depth = subst2d.resolve_collar(collar, (fine, coarse),
+                                               pair=True)
     if fid == cid:
         if fid.family == "chair":   # `off` holds here too, or raises
-            subst2d.collar_depth(fid.scheme, collar)
+            subst2d._check_depth(depth, fid.scheme)
         return [GroupExpr.zero() for _ in range(fid.dimension + 1)]
     if fid.family == "chair" and cid.family == "chair":
-        f = subst2d.factor_map_edge(fid.scheme, cid.scheme, collar)
-        _, sx = subst2d.ap_complex_2d(fid.scheme, collar)
-        _, sy = subst2d.ap_complex_2d(cid.scheme, collar)
+        f = subst2d.factor_map_edge(fid.scheme, cid.scheme, depth)
+        sx, sy = (subst2d.ap_complex_2d(i.scheme, depth)[1] for i in (fid, cid))
     elif fid.family != "chair" and cid.family != "chair":
         f, sx, sy = subst1d.factor_map_1d(fine, coarse)
     else:
@@ -205,13 +146,12 @@ def compute_quotient(fine: str, coarse: str, collar: str = "auto"):
 
 def compute_path(path: FactorPath, collar: str = "forced"):
     """Classified quotient cohomology of a composed lattice path (`auto`
-    means forced collars; see _pair_collar)."""
-    collar = _pair_collar(check_collar(collar))
-    f = subst2d.compose_path(path.start, path.word, collar)
+    means depth 1, as for a pair)."""
+    _, depth = subst2d.resolve_collar(collar, pair=True)
+    f = subst2d.compose_path(path.start, path.word, depth)
     # self-maps of the endpoints of the realization compose_path followed
     end = subst2d.canonical_realization(path.start, path.word)[-1][1]
-    _, sx = subst2d.ap_complex_2d(path.start, collar)
-    _, sy = subst2d.ap_complex_2d(end, collar)
+    sx, sy = (subst2d.ap_complex_2d(s, depth)[1] for s in (path.start, end))
     return les_quotient(f, sx, sy)["Q"]
 
 

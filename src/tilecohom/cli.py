@@ -24,9 +24,13 @@ from .errors import InvalidPath, TilingCohomologyError
 
 
 def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected N >= 1, got {text}")
+    try:
+        n = subst1d.decimal(text)
+    except ValueError:   # not ASCII digits
+        n = 0
+    if not 1 <= n < 2 ** 31:   # signal.alarm takes at most 2**31 - 1
+        raise argparse.ArgumentTypeError(
+            f"expected ASCII digits N >= 1, N < 2**31, got {text}")
     return n
 
 
@@ -35,7 +39,7 @@ def _common_flags():
     p.add_argument("--json", action="store_true",
                    help="emit a structured JSON document")
     p.add_argument("--timeout-sec", type=_positive_int, default=None,
-                   metavar="N", help="abort the computation after N >= 1 seconds")
+                   metavar="N", help="abort after N seconds, 1 <= N < 2**31")
     return p
 
 
@@ -157,12 +161,9 @@ def _run_verify(args):
 
 
 def _run_dump(args):
-    collar = catalog.check_collar(args.collar, args.name)
-    sid = catalog.SpaceId.parse(args.name)
-    if sid.family == "chair":
-        cx, _ = subst2d.ap_complex_2d(sid.scheme, collar)
-    else:
-        cx, _ = subst1d.system_1d(args.name)
+    (sid,), depth = subst2d.resolve_collar(args.collar, (args.name,))
+    cx, _ = (subst2d.ap_complex_2d(sid.scheme, depth) if sid.family == "chair"
+             else subst1d.system_1d(args.name))
     _emit(args, {"space": args.name, "dump": cx.dump()}, [cx.dump()])
     return 0
 

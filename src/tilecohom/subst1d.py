@@ -266,10 +266,11 @@ def decimal(text: str) -> int:
     return int(text)
 
 
+@functools.lru_cache(maxsize=None)
 def _space_1d(name):
     """(family, params) of a 1-D space name: tm:k,l or pd:k,l with k, l >= 1,
     or sol:m with m >= 2, whose rule images are at most MAX_IMAGE letters
-    long.  catalog.SpaceId.parse reads 1-D names with it."""
+    long.  Kept per name: a query parses its names once (SpaceId.parse)."""
     family, _, rest = name.partition(":")
     arity = {"tm": 2, "pd": 2, "sol": 1}.get(family)
     if arity is None:

@@ -7,7 +7,8 @@ all / keep only the two diagonal ones / drop) and the labels (keep all
 four / keep left-right / drop); the substitution rule descends to every
 scheme, giving a lattice of factor maps.  This module builds the collared
 approximant complexes, the substitution self-maps, and the factor map
-between any two comparable schemes, which also serves every path.
+between any two comparable schemes, which also serves every path.  It also
+holds a query's input boundary: `SpaceId` and `resolve_collar`.
 """
 from __future__ import annotations
 
@@ -16,13 +17,14 @@ import itertools
 import math
 import operator
 from collections import Counter
+from dataclasses import dataclass
 from itertools import chain
 
 from .abelian import IntMatrix, is_primitive_matrix
 from .complexes import CellularMap, CochainComplex
 from .errors import (InvalidPath, NotBorderForcing, NotPrimitive,
                      NotWellDefined)
-from .subst1d import _legal_patches
+from .subst1d import _legal_patches, _space_1d
 
 ARROWS = ("NE", "NW", "SE", "SW")
 Q_NW, Q_NE, Q_SW, Q_SE = (0, 1), (1, 1), (0, 0), (1, 0)
@@ -71,13 +73,38 @@ SCHEME_NAMES = tuple(f"{a},{l}" for a in ARROW_ORDER for l in LABEL_ORDER)
 
 
 def scheme_parts(name: str):
-    try:
-        a, l = name.split(",")
-    except ValueError:
-        a, l = "", ""
+    a, _, l = name.partition(",")
     if a not in ARROW_ORDER or l not in LABEL_ORDER:
         raise InvalidPath(f"unknown decoration scheme {name!r}")
     return a, l
+
+
+@dataclass(frozen=True)
+class SpaceId:
+    """Parsed space name: family plus parameters."""
+
+    family: str
+    params: tuple
+
+    @classmethod
+    def parse(cls, name: str) -> "SpaceId":
+        family, _, rest = name.partition(":")
+        if family == "chair":
+            return cls(family, scheme_parts(rest))
+        return cls(*_space_1d(name))
+
+    def __str__(self):
+        return f"{self.family}:{','.join(str(p) for p in self.params)}"
+
+    @property
+    def scheme(self) -> str:
+        if self.family != "chair":
+            raise InvalidPath(f"{self} is not a two-dimensional space")
+        return ",".join(self.params)
+
+    @property
+    def dimension(self) -> int:
+        return 2 if self.family == "chair" else 1
 
 
 def decorate(name: str):
@@ -414,18 +441,40 @@ def _forcing_power(sub, max_power):
     return None
 
 
-def collar_depth(name: str, collar: str = "auto") -> int:
-    if collar in ("forced", "on"):
-        return 1
-    if collar == "off":
-        if border_forcing_check(name) is None:
+class _Depth(int):
+    """A depth resolve_collar chose, taken below in place of a policy."""
+
+
+def resolve_collar(collar, names=(), pair=False):
+    """(ids, depth): a query's names, parsed once each in order, and the
+    collar depth its policy, auto, on (alias forced) or off, gives: the one
+    reader of a policy.  A bad policy is refused before any name, on or off
+    with a 1-D name is refused, and auto means depth 0 for chair spaces
+    that force their border.  For a pair or a path (`pair`) auto means 1,
+    as only 0,0 forces its border, and depth 0 is checked at the map."""
+    if collar not in ("auto", "on", "forced", "off"):
+        raise InvalidPath(f"collar must be auto, on, forced or off, "
+                          f"not {collar!r}")
+    ids = []
+    for name in names:
+        ids.append(SpaceId.parse(name))
+        if collar != "auto" and ids[-1].family != "chair":
+            raise InvalidPath(f"collar {collar} applies only to chair:* "
+                              f"spaces, not {name}")
+    schemes = () if pair else [i.scheme for i in ids if i.family == "chair"]
+    depth = _Depth(any(border_forcing_check(s) is None for s in schemes)
+                   if collar == "auto" and schemes else collar != "off")
+    _check_depth(depth, *schemes)
+    return ids, depth
+
+
+def _check_depth(depth: int, *schemes):
+    """Refuse depth 0 for a scheme that does not force its border."""
+    for name in schemes:
+        if depth == 0 and border_forcing_check(name) is None:
             raise NotBorderForcing(
                 f"scheme {name} does not force its border; an uncollared "
                 "complex would compute the wrong limit")
-        return 0
-    if collar == "auto":
-        return 0 if border_forcing_check(name) is not None else 1
-    raise InvalidPath(f"collar must be auto, on, forced or off, not {collar!r}")
 
 
 def _roots(size, pairs):
@@ -533,9 +582,12 @@ def _ap_complex_2d_depth(name: str, r: int):
 
 
 def ap_complex_2d(name: str, collar: str = "auto"):
-    """(approximant complex, substitution self-map) of a decoration scheme."""
-    scheme_parts(name)
-    return _ap_complex_2d_depth(name, collar_depth(name, collar))[:2]
+    """(approximant complex, substitution self-map) of a decoration scheme.
+    `collar` is a policy (see resolve_collar), or the depth it chose."""
+    if not isinstance(collar, _Depth):
+        scheme_parts(name)   # a bad name is reported before a bad policy
+        _, collar = resolve_collar(collar, (f"chair:{name}",))
+    return _ap_complex_2d_depth(name, collar)[:2]
 
 
 def lattice_edges():
@@ -569,20 +621,23 @@ def edge_type(fine: str, coarse: str) -> str:
     return "A"
 
 
-@functools.lru_cache(maxsize=None)
 def factor_map_edge(fine: str, coarse: str, collar: str = "forced"):
     """Cellular factor map between the complexes of two schemes, for any
-    coarse scheme strictly below fine in the lattice."""
+    coarse scheme strictly below fine in the lattice (collar: see
+    resolve_collar)."""
     (fa, fl), (ca, cl) = scheme_parts(fine), scheme_parts(coarse)
     if fine == coarse or ARROW_ORDER.index(ca) < ARROW_ORDER.index(fa) \
             or LABEL_ORDER.index(cl) < LABEL_ORDER.index(fl):
         raise InvalidPath(f"no factor map from chair:{fine} to chair:{coarse}")
-    return _factor_map_depth(fine, coarse, max(collar_depth(fine, collar),
-                                               collar_depth(coarse, collar)))
+    if not isinstance(collar, _Depth):
+        _, collar = resolve_collar(collar, pair=True)
+    return _factor_map_depth(fine, coarse, collar)
 
 
+@functools.lru_cache(maxsize=None)
 def _factor_map_depth(fine: str, coarse: str, r: int):
     """The factor map fine -> coarse at collar depth r."""
+    _check_depth(r, fine, coarse)
     fcx, _, fe, fv = _ap_complex_2d_depth(fine, r)
     ccx, _, ce, cv = _ap_complex_2d_depth(coarse, r)
     fsys = _collared_system(fine, r)
@@ -652,9 +707,11 @@ def compose_realization(steps, collar: str = "forced"):
     last, read off the master windows like any pair's."""
     if not steps:
         raise InvalidPath("an empty realization has no factor map")
-    for fine, coarse in steps:
+    for i, (fine, coarse) in enumerate(steps):
         edge_type(fine, coarse)
-        collar_depth(fine, collar)  # a collar error comes before a mismatch
+        if i == 0 and not isinstance(collar, _Depth):
+            _, collar = resolve_collar(collar, pair=True)
+        _check_depth(collar, fine)  # a collar error comes before a mismatch
     if any(c != f for (_, c), (f, _) in zip(steps, steps[1:])):
         raise ValueError("composition mismatch")
     return factor_map_edge(steps[0][0], steps[-1][1], collar)

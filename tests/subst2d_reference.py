@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import functools
 
+from catalog_reference import collar_depth
 from tilecohom import subst2d
 from tilecohom.abelian import IntMatrix
 from tilecohom.complexes import CellularMap, CochainComplex
 from tilecohom.errors import InvalidPath, NotWellDefined
 from tilecohom.subst2d import (ARROW_ORDER, CORNERS, LABEL_ORDER,
                                MASTER_TILES, QUADS, Q_NE, Q_NW, Q_SE, Q_SW,
-                               SIDES, collar_depth, decorate, edge_type,
+                               SIDES, decorate, edge_type,
                                master_rule, path_realizations, scheme_parts)
 
 

@@ -167,7 +167,7 @@ class TestDrivers:
         lambda: compute_quotient("chair:X,+", "chair:X,+", "bogus"),
         lambda: compute_quotient("chair:/,0", "chair:0,0", "bogus"),
         lambda: compute_path(FactorPath("X,+", "A"), "bogus"),
-        lambda: subst2d.collar_depth("X,+", "bogus"),
+        lambda: subst2d.resolve_collar("bogus", ("chair:X,+",)),
     ), ids=["chair-space", "1d-space", "same-pair", "pair", "path",
             "collar-depth"])
     def test_unknown_collar_is_invalid_path(self, call):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tilecohom import catalog, subst2d
+from tilecohom import catalog, cli, subst2d
 from tilecohom.abelian import FgAbGroup, GroupHom, IntMatrix
 from tilecohom.cli import main
 from tilecohom.errors import ExactnessFailure, NotWellDefined
@@ -279,6 +279,19 @@ class TestMisc:
         code, out, err = run(capsys, "space", "sol:2", "--timeout-sec", seconds)
         assert code == 2 and not out and "N >= 1" in err
 
+    @pytest.mark.parametrize("seconds", ["1_0", "\u0663", "+2", "2147483648",
+                                         "99999999999999999999"])
+    def test_timeout_outside_grammar_is_usage_error(self, capsys, seconds):
+        # int() used to read the first three as 10, 3 and 2 seconds, and
+        # signal.alarm ended the last two in an OverflowError traceback
+        code, out, err = run(capsys, "space", "sol:2", "--timeout-sec", seconds)
+        assert code == 2 and not out
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "N >= 1" in err
+
+    def test_timeout_largest_alarm_accepted(self):
+        assert cli._positive_int("2147483647") == 2 ** 31 - 1
+
     def test_timeout_without_sigalrm_is_usage_error(self, capsys,
                                                      monkeypatch):
         monkeypatch.delattr(signal, "SIGALRM")
@@ -405,22 +418,29 @@ _NAME = st.one_of(
     st.sampled_from(["tm", "chair", ":", ""]))
 _COLLAR = st.sampled_from([[], ["--collar", "auto"], ["--collar", "on"],
                            ["--collar", "off"], ["--collar", "sideways"]])
+# --timeout-sec only with values the parser refuses: an accepted one would
+# arm a real alarm
+_TIMEOUT = st.one_of(st.just([]), st.sampled_from(
+    ["0", "-3", "1_0", "+2", " 2", "", "x", "\u0663", "2147483648",
+     "99999999999999999999", "9" * 4301]).map(lambda v: ["--timeout-sec", v]))
 _GRID = st.lists(st.one_of(st.builds("{},{}".format, _PARAM, _PARAM),
                            st.lists(_PARAM, max_size=3).map(",".join)),
                  max_size=3).map(";".join)
 _ARGV = st.one_of(
-    st.tuples(st.just(["space"]), _NAME.map(lambda n: [n]), _COLLAR),
+    st.tuples(st.just(["space"]), _NAME.map(lambda n: [n]), _COLLAR,
+              _TIMEOUT),
     st.tuples(st.just(["quotient"]), st.lists(_NAME, min_size=2, max_size=2),
-              _COLLAR),
+              _COLLAR, _TIMEOUT),
     st.tuples(st.just(["path"]),
               st.tuples(st.one_of(_CHAIR, _CHAIR, _NAME),
                         st.one_of(st.text("ABC", min_size=1, max_size=4),
                                   st.text("ABCa ", max_size=3))).map(list),
-              _COLLAR),
-    st.tuples(st.just(["dump"]), _NAME.map(lambda n: [n]), _COLLAR),
+              _COLLAR, _TIMEOUT),
+    st.tuples(st.just(["dump"]), _NAME.map(lambda n: [n]), _COLLAR,
+              _TIMEOUT),
     st.tuples(st.just(["verify", "1d"]),
               st.one_of(st.just([]), _GRID.map(lambda g: ["--grid", g])),
-              st.just([])))
+              _TIMEOUT))
 
 
 @settings(max_examples=300, deadline=None)

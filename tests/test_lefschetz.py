@@ -1,0 +1,178 @@
+"""Lefschetz trace oracle: the Hopf trace formula on every tower.
+
+For a cellular self-map f of a finite complex and every power n >= 1,
+
+    sum_k (-1)^k tr((f*_k)^n on C^k) = sum_k (-1)^k tr((f*)^n on H^k (x) Q)
+
+(Hatcher, *Algebraic Topology*, 2.C).  The left side needs only the
+cochain matrices.  The right side is read off the tower that
+`cohomology_tower` builds: H^k (x) Q is Q^ngens modulo span_Q(rel), so its
+trace is tr(E^n) minus the trace of E^n on span_Q(rel), with E the tower
+endomorphism.  The check thus covers `cohomology`, `_express`,
+`hom_on_cohomology` and `cohomology_tower` with code they do not share:
+plain ints and Fractions, no `snf` and no `classify`.
+
+On a factor map f: X -> Y whose self-maps intertwine, the cochains of X
+split into f*C(Y) and the quotient complex, so the Lefschetz numbers of
+the towers of `cohomology_tower` and `_quotient_cohomology_tower` add:
+L(X) = L(Y) + L(Q).
+
+What it cannot see: the traces of all powers fix only the characteristic
+polynomial over Q of each alternating sum.  Localization bases (Z[1/2]
+against Z[1/4]), whether a limit splits, and torsion, which (x) Q kills,
+are invisible to it.
+"""
+from fractions import Fraction
+
+import pytest
+
+from tilecohom import catalog, subst1d, subst2d
+from tilecohom.complexes import (_quotient_cohomology_tower, cohomology_tower,
+                                 quotient_complex)
+from tilecohom.subst2d import SCHEME_NAMES
+
+POWERS = 4
+ONE_D = ([f"{fam}:{k},{l}" for fam in ("tm", "pd")
+          for k in range(1, 7) for l in range(1, 7)]
+         + [f"sol:{m}" for m in range(2, 13)])
+MAP_GRID = tuple((k, l) for k in range(1, 5) for l in range(1, 5))
+
+
+def _traces(rows):
+    """[tr(A^n) for n = 1..POWERS] of a matrix given by dense rows."""
+    a = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    power, out = a, []
+    for n in range(POWERS):
+        if n:
+            power = [_times(r, a) for r in power]
+        out.append(sum(r.get(i, 0) for i, r in enumerate(power)))
+    return out
+
+
+def _times(row, a):
+    out = {}
+    for j, x in row.items():
+        for k, y in a[j].items():
+            out[k] = out.get(k, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def _echelon(vectors):
+    """A reduced echelon basis of span_Q(vectors), as (pivot, vector)."""
+    basis = []
+    for v in vectors:
+        v = [Fraction(x) for x in v]
+        for p, b in basis:
+            v = [x - v[p] * y for x, y in zip(v, b)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            continue
+        v = [x / v[pivot] for x in v]
+        basis = [(p, [x - b[pivot] * y for x, y in zip(b, v)])
+                 for p, b in basis] + [(pivot, v)]
+    return basis
+
+
+def _tower_traces(endo, rel):
+    """tr(E^n on Q^ngens / span_Q(rel)) for n = 1..POWERS, or None when E
+    does not keep span_Q(rel)."""
+    basis = _echelon(zip(*rel))
+    restricted = [[None] * len(basis) for _ in basis]
+    for j, (_, b) in enumerate(basis):
+        w = [sum(x * y for x, y in zip(row, b)) for row in endo]
+        coords = [w[p] for p, _ in basis]
+        if w != [sum(c * v[i] for c, (_, v) in zip(coords, basis))
+                 for i in range(len(w))]:
+            return None
+        for i, c in enumerate(coords):
+            restricted[i][j] = c
+    return [x - y for x, y in zip(_traces(endo), _traces(restricted))]
+
+
+def _alternating(per_degree):
+    if any(t is None for t in per_degree):
+        return None
+    return [sum((-1) ** k * t[n] for k, t in enumerate(per_degree))
+            for n in range(POWERS)]
+
+
+def _towers(towers):
+    """Each tower as (endomorphism rows, relation rows)."""
+    return [(t.endo.matrix.to_rows(), t.group.rel.to_rows()) for t in towers]
+
+
+def _lefschetz(towers):
+    return _alternating([_tower_traces(e, rel) for e, rel in towers])
+
+
+def _cochain_lefschetz(self_map):
+    return _alternating([_traces(m.to_rows()) for m in self_map.cochain])
+
+
+def _space(name):
+    """(cochain Lefschetz numbers, towers) of a named space's complex."""
+    if name.startswith("chair:"):
+        cx, sm = subst2d.ap_complex_2d(name[len("chair:"):], "forced")
+    else:
+        cx, sm = subst1d.system_1d(name)
+    towers = [cohomology_tower(cx, sm, k) for k in range(cx.dimension + 1)]
+    return _cochain_lefschetz(sm), _towers(towers)
+
+
+def _map_towers(f, sx, sy):
+    """The towers of X, Y and Q of a factor map."""
+    qc = quotient_complex(f)
+    return tuple(_towers(towers) for towers in (
+        [cohomology_tower(f.source, sx, k) for k in range(f.source.dimension + 1)],
+        [cohomology_tower(f.target, sy, k) for k in range(f.target.dimension + 1)],
+        [_quotient_cohomology_tower(qc, sx, k)
+         for k in range(qc.complex.dimension + 1)]))
+
+
+def _adds_up(x, y, q):
+    lx, ly, lq = _lefschetz(x), _lefschetz(y), _lefschetz(q)
+    return None not in (lx, ly, lq) and lx == [a + b for a, b in zip(ly, lq)]
+
+
+@pytest.mark.parametrize("name", [f"chair:{s}" for s in SCHEME_NAMES]
+                         + ONE_D)
+def test_hopf_trace_formula(name):
+    cochains, towers = _space(name)
+    assert _lefschetz(towers) == cochains
+
+
+def test_factor_maps_add_up():
+    maps = catalog.catalog_factor_maps(MAP_GRID)
+    assert len(maps) == 3 * len(MAP_GRID) + 12
+    for key, f, sx, sy in maps:
+        assert _adds_up(*_map_towers(f, sx, sy)), key
+
+
+def test_nontrivial_traces():
+    # the oracle compares numbers that move with n, not zeros
+    cochains, _ = _space("chair:X,0")
+    assert len(set(cochains)) == POWERS
+
+
+# ---- the check fails on a mutated tower ----
+
+def test_negated_endomorphism_fails():
+    cochains, towers = _space("chair:X,0")
+    endo, rel = towers[1]
+    towers[1] = [[-x for x in row] for row in endo], rel
+    assert _lefschetz(towers) != cochains
+
+
+def test_swapped_rows_fail():
+    cochains, towers = _space("tm:3,1")
+    endo, rel = towers[1]
+    assert len(endo) > 1
+    towers[1] = [endo[1], endo[0]] + endo[2:], rel
+    assert _lefschetz(towers) != cochains
+
+
+def test_dropped_quotient_degree_fails():
+    f, sx, sy = subst1d.factor_map_1d("tm:3,1", "sol:4")
+    x, y, q = _map_towers(f, sx, sy)
+    assert _adds_up(x, y, q)
+    assert not _adds_up(x, y, q[:-1])

@@ -12,11 +12,16 @@ from tilecohom.complexes import cohomology_tower, les_quotient
 from tilecohom.subst2d import (ARROW_ORDER, LABEL_ORDER, MASTER_TILES,
                                QUADS, SCHEME_NAMES, Substitution2D,
                                ap_complex_2d, border_forcing_check,
-                               collar_depth, compose_path, decorate,
+                               compose_path, decorate,
                                descend_rule, edge_type, enumerate_prototiles,
                                factor_map_edge, lattice_edges,
                                legal_adjacencies, master_rule, master_system,
                                path_realizations)
+
+
+def collar_depth(name, collar="auto"):
+    """The collar depth that the resolver gives a query on one scheme."""
+    return subst2d.resolve_collar(collar, (f"chair:{name}",))[1]
 
 
 def _realizable_paths(max_len=4):
