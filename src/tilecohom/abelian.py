@@ -13,6 +13,11 @@ import operator
 from .errors import NotWellDefined
 
 
+def _check_shape(rows, cols):
+    if rows < 0 or cols < 0:
+        raise ValueError(f"negative matrix shape {rows}x{cols}")
+
+
 class IntMatrix:
     """Immutable integer matrix stored as sparse rows.
 
@@ -26,6 +31,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_r", "_hash")
 
     def __init__(self, rows, cols, entries):
+        _check_shape(rows, cols)
         entries = [operator.index(x) for x in entries]
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
@@ -60,6 +66,7 @@ class IntMatrix:
     def from_entries(cls, rows, cols, entries):
         """rows x cols matrix from sparse `{(i, j): value}` entries, zero
         elsewhere; every value must be an int (`operator.index`)."""
+        _check_shape(rows, cols)
         out = [{} for _ in range(rows)]
         for (i, j), v in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
@@ -71,10 +78,12 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows, cols):
+        _check_shape(rows, cols)
         return cls._of_rows(rows, cols, ({},) * rows)
 
     @classmethod
     def identity(cls, n):
+        _check_shape(n, n)
         return cls._of_rows(n, n, tuple({i: 1} for i in range(n)))
 
     @classmethod

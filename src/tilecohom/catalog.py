@@ -199,6 +199,8 @@ def verify_all(scope: str = "all", grid=None):
         raise InvalidPath("a 1-D grid does not apply to verify 2d")
     # every pair is read before any is computed
     grid = tuple(map(_grid_pair, grid if grid is not None else DEFAULT_GRID))
+    if not grid:   # a verify that checks nothing must not read as a pass
+        raise InvalidPath("the grid has no k,l pair")
     report = []
     if scope in ("1d", "all"):
         for k, l in grid:

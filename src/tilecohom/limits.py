@@ -9,6 +9,7 @@ honest `unclassified` payload rather than a guessed form.
 from __future__ import annotations
 
 import math
+import re
 
 import sympy
 
@@ -31,6 +32,11 @@ def radical(n: int) -> int:
                 n //= p
         p += 1 if p == 2 else 2
     return out * n if n > 1 else out
+
+
+# one summand of a GroupExpr: Z_t, Z[1/m], Z[1/m]^a, Z or Z^b
+_TOKEN = re.compile(
+    r"Z_([0-9]+)|Z\[1/([0-9]+)\](?:\^([0-9]+))?|Z(?:\^([0-9]+))?")
 
 
 class GroupExpr:
@@ -115,20 +121,18 @@ class GroupExpr:
             return cls()
         torsion, locs, free = [], [], 0
         for tok in text.split(" + "):
-            tok = tok.strip()
-            if tok.startswith("Z_"):
-                torsion.append(int(tok[2:]))
-            elif tok.startswith("Z[1/"):
-                body, _, exp = tok.partition("]")
-                m = int(body[4:])
-                a = int(exp[1:]) if exp.startswith("^") else 1
-                locs.append((m, a))
-            elif tok == "Z":
-                free += 1
-            elif tok.startswith("Z^"):
-                free += int(tok[2:])
-            else:
+            match = _TOKEN.fullmatch(tok.strip())
+            # ASCII digits; orders and bases >= 2, exponents >= 1
+            if match is None or any(g and int(g) < least for g, least in zip(
+                    match.groups(), (2, 2, 1, 1))):
                 raise ValueError(f"cannot parse group expression token {tok!r}")
+            order, base, mult, rank = match.groups()
+            if order:
+                torsion.append(int(order))
+            elif base:
+                locs.append((int(base), int(mult or 1)))
+            else:
+                free += int(rank or 1)
         return cls(torsion, locs, free)
 
 

@@ -25,6 +25,8 @@ class Substitution1D:
 
     def __init__(self, alphabet, rule):
         self.alphabet = tuple(alphabet)
+        if not self.alphabet:
+            raise ValueError("a substitution needs a nonempty alphabet")
         if len(set(self.alphabet)) < len(self.alphabet):
             raise ValueError(f"repeated letter in alphabet {self.alphabet!r}")
         if not set(self.alphabet) >= rule.keys():
@@ -156,6 +158,8 @@ def ap_complex_1d(s: Substitution1D, depth: int = 1):
     depth <= t < |s(e[depth])| - depth they come from the per-letter table,
     the <= 2*depth others are cut at the boundaries with the collars' images.
     """
+    if depth < 0:
+        raise ValueError("collar depth must be >= 0")
     r = depth
     edges = sorted(legal_words(s, 2 * r + 1))
     # every legal word extends to the right, so the 2r-words are edge
@@ -211,6 +215,18 @@ def sol_system(m, depth=0):
 PHI_SOURCE_DEPTH = 2  # two-block code with anticipation 1 needs this much collar
 
 
+def _letter_code(source, target, code):
+    """The factor map that sends each cell of the source system's complex,
+    a word, to the one target cell code(word) with sign +1."""
+    return CellularMap.from_assignment(source[0], target[0], [
+        {w: [(1, code(w))] for w in cells} for cells in source[0].cells])
+
+
+def _collapse(word):
+    # a collared complex's vertices are even-length words, its edges odd
+    return ("s",) * (len(word) % 2)   # the solenoid's one vertex or edge
+
+
 @functools.lru_cache(maxsize=None)
 def factor_map_phi(k: int, l: int) -> CellularMap:
     """Two-block code from the mirror system onto its period-doubling factor.
@@ -220,36 +236,23 @@ def factor_map_phi(k: int, l: int) -> CellularMap:
     positions i and i+1, so an image vertex (a 2-word) needs the source
     vertex to be a 4-word, and a depth-1 source would not determine it.
     """
-    src, _ = tm_system(k, l, PHI_SOURCE_DEPTH)
-    dst, _ = pd_system(k, l, 1)
-    r = PHI_SOURCE_DEPTH
-
-    def code(word, i):
-        return "a" if word[i] != word[i + 1] else "b"
-
-    assign = [{}, {}]
-    for v in src.cells[0]:
-        # vertex = 2r-word centred between r-1 and r; image vertex = 2-word
-        assign[0][v] = [(1, (code(v, r - 1), code(v, r)))]
-    for e in src.cells[1]:
-        # edge = (2r+1)-word centred at r; image edge = 3-word
-        assign[1][e] = [(1, (code(e, r - 1), code(e, r), code(e, r + 1)))]
-    return CellularMap.from_assignment(src, dst, assign)
+    # a cell's first letter is collar that its image does not read
+    return _letter_code(tm_system(k, l, PHI_SOURCE_DEPTH), pd_system(k, l, 1),
+                        lambda w: tuple("a" if x != y else "b"
+                                        for x, y in zip(w[1:], w[2:])))
 
 
 @functools.lru_cache(maxsize=None)
 def factor_map_psi(k: int, l: int) -> CellularMap:
     """Letter collapse from the period-doubling complex onto the solenoid."""
-    src, _ = pd_system(k, l, 1)
-    dst, _ = sol_system(k + l, 0)
-    assign = [{v: [(1, ())] for v in src.cells[0]},
-              {e: [(1, ("s",))] for e in src.cells[1]}]
-    return CellularMap.from_assignment(src, dst, assign)
+    return _letter_code(pd_system(k, l, 1), sol_system(k + l, 0), _collapse)
 
 
 @functools.lru_cache(maxsize=None)
 def factor_map_psi_phi(k: int, l: int) -> CellularMap:
-    return factor_map_psi(k, l).compose(factor_map_phi(k, l))
+    """psi after phi: the letter collapse of the mirror complex."""
+    return _letter_code(tm_system(k, l, PHI_SOURCE_DEPTH),
+                        sol_system(k + l, 0), _collapse)
 
 
 # the longest rule image a 1-D name may ask for, in letters: k + l for

@@ -409,6 +409,8 @@ def border_forcing_check(scheme, max_power: int = 4):
     only descends to collared prototiles the scheme cannot be built
     uncollared and the check reports None.
     """
+    if max_power < 0:
+        raise ValueError("max_power must be >= 0")
     if isinstance(scheme, Substitution2D):
         return _forcing_power(scheme, max_power)
     if not callable(scheme):

@@ -1,15 +1,22 @@
-"""Reference 1-D legal-word enumeration and collared complex.
+"""Reference 1-D legal-word enumeration, collared complex and factor maps.
 
 `legal_words` is the supertile-seeded enumeration that the legal-patch
 closure in `tilecohom.subst1d` replaced, and `ap_complex_1d` the builder
 that cut every window of a collared cell's whole image before the
-per-letter image tables.  Both are kept verbatim so the differential tests
-can demand identical word sets, complexes and self-maps.  Test-only code.
+per-letter image tables.  `factor_map_phi`, `factor_map_psi` and
+`factor_map_psi_phi` are the factor-map builders that `subst1d`'s one
+per-cell builder replaced: phi and psi assigned each cell its image in
+their own loops, and psi after phi was the product of their chain
+matrices.  All are kept verbatim (the maps without their memo, so that
+each call builds on the complexes that `subst1d` holds at that moment) so
+the differential tests can demand identical word sets, complexes,
+self-maps and factor maps.  Test-only code.
 """
 from __future__ import annotations
 
 from tilecohom.abelian import IntMatrix
 from tilecohom.complexes import CellularMap, CochainComplex
+from tilecohom.subst1d import PHI_SOURCE_DEPTH, pd_system, sol_system, tm_system
 
 
 def legal_words(s, n: int) -> set:
@@ -78,3 +85,41 @@ def ap_complex_1d(s: Substitution1D, depth: int = 1):
         IntMatrix.from_entries(len(vertices), len(vertices), f0),
         IntMatrix.from_entries(len(edges), len(edges), f1)])
     return cx, self_map
+
+
+def factor_map_phi(k: int, l: int) -> CellularMap:
+    """Two-block code from the mirror system onto its period-doubling factor.
+
+    Realized as a cellular map from the depth-2 mirror complex to the
+    depth-1 factor complex: the factor letter at position i reads source
+    positions i and i+1, so an image vertex (a 2-word) needs the source
+    vertex to be a 4-word, and a depth-1 source would not determine it.
+    """
+    src, _ = tm_system(k, l, PHI_SOURCE_DEPTH)
+    dst, _ = pd_system(k, l, 1)
+    r = PHI_SOURCE_DEPTH
+
+    def code(word, i):
+        return "a" if word[i] != word[i + 1] else "b"
+
+    assign = [{}, {}]
+    for v in src.cells[0]:
+        # vertex = 2r-word centred between r-1 and r; image vertex = 2-word
+        assign[0][v] = [(1, (code(v, r - 1), code(v, r)))]
+    for e in src.cells[1]:
+        # edge = (2r+1)-word centred at r; image edge = 3-word
+        assign[1][e] = [(1, (code(e, r - 1), code(e, r), code(e, r + 1)))]
+    return CellularMap.from_assignment(src, dst, assign)
+
+
+def factor_map_psi(k: int, l: int) -> CellularMap:
+    """Letter collapse from the period-doubling complex onto the solenoid."""
+    src, _ = pd_system(k, l, 1)
+    dst, _ = sol_system(k + l, 0)
+    assign = [{v: [(1, ())] for v in src.cells[0]},
+              {e: [(1, ("s",))] for e in src.cells[1]}]
+    return CellularMap.from_assignment(src, dst, assign)
+
+
+def factor_map_psi_phi(k: int, l: int) -> CellularMap:
+    return factor_map_psi(k, l).compose(factor_map_phi(k, l))

@@ -89,6 +89,26 @@ class TestFromEntries:
             IntMatrix.from_entries(2, 2, {at: 1})
 
 
+class TestShape:
+    # a negative shape used to build a matrix: IntMatrix(-1, -2, [1, 2])
+    # dropped both entries and FgAbGroup(-1) read as the trivial group
+    @pytest.mark.parametrize("build", [
+        lambda: IntMatrix(-1, -2, [1, 2]), lambda: IntMatrix(-1, 0, []),
+        lambda: IntMatrix.zeros(0, -1), lambda: IntMatrix.identity(-1),
+        lambda: IntMatrix.diagonal([1], -1, 1),
+        lambda: IntMatrix.diagonal([], None, -1),
+        lambda: IntMatrix.from_entries(-1, 2, {}), lambda: FgAbGroup(-1),
+    ], ids=["init", "init-empty", "zeros", "identity", "diagonal-rows",
+            "diagonal-cols", "from_entries", "group"])
+    def test_rejects_negative_shape(self, build):
+        with pytest.raises(ValueError, match="negative matrix shape"):
+            build()
+
+    def test_empty_shapes_stay(self):
+        assert IntMatrix.identity(0) == IntMatrix.zeros(0, 0)
+        assert IntMatrix(0, 3, []).cols == 3
+
+
 class TestRowBounds:
     # a negative row index used to read a row from the end
     @pytest.mark.parametrize("read", [

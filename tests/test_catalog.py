@@ -145,6 +145,18 @@ class TestDrivers:
         assert verify_all("1d", grid=(("2", "01"),)) == \
             verify_all("1d", grid=((2, 1),))
 
+    @pytest.mark.parametrize("scope, grid", [("1d", []), ("1d", ()),
+                                             ("all", ())])
+    def test_empty_grid_refused(self, scope, grid, monkeypatch):
+        # verify_all("1d", []) used to return [], which reads as a pass,
+        # and verify_all("all", ()) skipped every 1-D check
+        def no_compute(*args):
+            raise AssertionError("computed before the grid was checked")
+
+        monkeypatch.setattr(catalog, "compute_space", no_compute)
+        with pytest.raises(InvalidPath, match="grid has no k,l pair"):
+            verify_all(scope, grid)
+
     def test_grid_rejected_for_verify_2d(self):
         # the grid used to be ignored: verify 2d with a grid passed 87/87
         with pytest.raises(InvalidPath, match="grid"):

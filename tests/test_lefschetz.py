@@ -15,7 +15,8 @@ plain ints and Fractions, no `snf` and no `classify`.
 On a factor map f: X -> Y whose self-maps intertwine, the cochains of X
 split into f*C(Y) and the quotient complex, so the Lefschetz numbers of
 the towers of `cohomology_tower` and `_quotient_cohomology_tower` add:
-L(X) = L(Y) + L(Q).
+L(X) = L(Y) + L(Q).  That is checked on the 1-D maps, the 12 lattice edges
+and the composed maps of the 11 golden path words.
 
 What it cannot see: the traces of all powers fix only the characteristic
 polynomial over Q of each alternating sum.  Localization bases (Z[1/2]
@@ -27,6 +28,7 @@ from fractions import Fraction
 import pytest
 
 from tilecohom import catalog, subst1d, subst2d
+from tilecohom.catalog import PATH_STARTS, PATH_WORDS
 from tilecohom.complexes import (_quotient_cohomology_tower, cohomology_tower,
                                  quotient_complex)
 from tilecohom.subst2d import SCHEME_NAMES
@@ -141,9 +143,22 @@ def test_hopf_trace_formula(name):
     assert _lefschetz(towers) == cochains
 
 
+def _path_maps():
+    """The composed map of each golden path word, with the self-maps of its
+    start and end schemes, as (key, f, sx, sy)."""
+    out = []
+    for word in PATH_WORDS:
+        start = PATH_STARTS[word]
+        end = subst2d.canonical_realization(start, word)[-1][1]
+        sx, sy = (subst2d.ap_complex_2d(s, "forced")[1] for s in (start, end))
+        out.append((f"{start}:{word}",
+                    subst2d.compose_path(start, word, "forced"), sx, sy))
+    return out
+
+
 def test_factor_maps_add_up():
-    maps = catalog.catalog_factor_maps(MAP_GRID)
-    assert len(maps) == 3 * len(MAP_GRID) + 12
+    maps = catalog.catalog_factor_maps(MAP_GRID) + _path_maps()
+    assert len(maps) == 3 * len(MAP_GRID) + 12 + len(PATH_WORDS)
     for key, f, sx, sy in maps:
         assert _adds_up(*_map_towers(f, sx, sy)), key
 

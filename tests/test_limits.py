@@ -41,6 +41,21 @@ class TestGroupExpr:
         with pytest.raises(ValueError):
             GroupExpr.parse("Q + Z")
 
+    # each of these used to parse as something else: Z + Z^-1 as 0,
+    # Z^1_0 as Z^10, Z[1/2]x and Z[1/2 as Z[1/2], Z_+3 and Z_3 in Arabic
+    # digits as Z_3, and the zero or unit orders, bases and exponents
+    # as summands they do not name
+    @pytest.mark.parametrize("text", [
+        "Z^-1", "Z + Z^-1", "Z^0", "Z[1/2]^0", "Z_1", "Z_0", "Z[1/0]",
+        "Z[1/1]", "Z[1/-2]", "Z_+3", "Z_\u0663", "Z^1_0", "Z[1/2]x",
+        "Z[1/2", "Z_ 2"])
+    def test_parse_refuses_what_it_cannot_honour(self, text):
+        with pytest.raises(ValueError, match="cannot parse"):
+            GroupExpr.parse(text)
+
+    def test_parse_keeps_unnormalized_bases(self):
+        assert GroupExpr.parse("Z[1/4] + Z^1") == GroupExpr.parse("Z[1/2] + Z")
+
     def test_iso_check(self):
         assert iso_check(GroupExpr.parse("Z[1/4]"), GroupExpr.parse("Z[1/2]"))
         assert not iso_check(GroupExpr.parse("Z"), GroupExpr.parse("Z^2"))

@@ -73,6 +73,16 @@ class TestSubstitutions:
         with pytest.raises(ValueError):
             Substitution1D(alphabet, rule)
 
+    def test_empty_alphabet(self):
+        # used to pass, and legal_words then failed with a bare min() error
+        with pytest.raises(ValueError, match="nonempty alphabet"):
+            Substitution1D((), {})
+
+    def test_negative_collar_depth(self):
+        # used to say `n >= 1 required`, of a word length nobody asked for
+        with pytest.raises(ValueError, match="collar depth must be >= 0"):
+            ap_complex_1d(tm_substitution(2, 1), -1)
+
 
 @pytest.mark.parametrize("k", range(1, 41))
 def test_legal_words_match_reference(k):

@@ -144,6 +144,12 @@ class TestBorderForcing:
     def test_master_does_not_force(self):
         assert border_forcing_check("X,+") is None
 
+    @pytest.mark.parametrize("scheme", ["0,0", "X,+", lambda t: t])
+    def test_negative_max_power_refused(self, scheme):
+        # used to answer None, which reads as "does not force its border"
+        with pytest.raises(ValueError, match="max_power must be >= 0"):
+            border_forcing_check(scheme, -1)
+
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_coarsening_callable_answers_as_its_name(self, name):
         assert border_forcing_check(decorate(name)) == \
