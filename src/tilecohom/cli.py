@@ -227,8 +227,12 @@ def run() -> NoReturn:
     interpreter reports the failed flush as it always has.  An exception
     that escapes main() ends the process the usual way."""
     status = main()
-    # coverage, cProfile and debuggers set one of these hooks
-    if sys.gettrace() is None and sys.getprofile() is None:
+    # coverage, cProfile and debuggers set a trace or profile hook, or
+    # register a sys.monitoring tool (Python 3.12 and later; ids 0-5)
+    monitoring = getattr(sys, "monitoring", None)
+    if sys.gettrace() is None and sys.getprofile() is None and (
+            monitoring is None
+            or all(monitoring.get_tool(i) is None for i in range(6))):
         try:
             for stream in (sys.stdout, sys.stderr):
                 if stream is not None:   # None when its descriptor was closed

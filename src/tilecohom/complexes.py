@@ -223,13 +223,16 @@ class CellularMap:
     """Cellular map via its chain matrices F_k : C_k(source) -> C_k(target).
 
     Entries are signed incidence multiplicities; a substitution self-map
-    sends an edge to an edge path, a quotient map sends each cell to a
+    sends an edge to an edge path, a factor map sends each cell to a
     single cell with sign +1.  `cochain[k]` is the pullback
     f*_k = F_k^T : C^k(target) -> C^k(source), and commutation with the
-    coboundary is checked on it at construction.
+    coboundary is checked on it at construction.  When every source cell
+    goes to at most one target cell, with sign +-1, `cells[k][i]` is the
+    (target cell, sign) of source cell i, or None: the map's assignment,
+    through which the checks read it.  Otherwise `cells` is None.
     """
 
-    __slots__ = ("source", "target", "chain", "cochain")
+    __slots__ = ("source", "target", "chain", "cochain", "cells")
 
     def __init__(self, source: CochainComplex, target: CochainComplex, chain):
         self.source = source
@@ -241,11 +244,14 @@ class CellularMap:
             if f.rows != target.n_cells(k) or f.cols != source.n_cells(k):
                 raise ValueError(f"chain matrix {k} has wrong shape")
         self.cochain = [f.transpose() for f in self.chain]
+        self.cells = None if _cover_fault(self) else [
+            [next(iter(r.items()), None) for r in p.sparse_rows]
+            for p in self.cochain]
         for k in range(source.dimension):
             # f* delta = delta f*, the transpose of d f = f d
-            left = self.cochain[k + 1] * self.target.coboundary(k)
-            right = self.source.coboundary(k) * self.cochain[k]
-            if left != right:
+            if not (_square(self, k) if self.cells is not None else
+                    self.cochain[k + 1] * target.coboundary(k)
+                    == source.coboundary(k) * self.cochain[k]):
                 raise NotACochainMap(f"boundary square fails at degree {k + 1}")
 
     @classmethod
@@ -265,6 +271,13 @@ class CellularMap:
         return cls(source, target, chain)
 
     @classmethod
+    def cellwise(cls, source, target, images):
+        """images[k]: dict source-cell index -> target-cell index, sign +1."""
+        return cls(source, target, [IntMatrix.from_entries(
+            target.n_cells(k), source.n_cells(k),
+            {(j, i): 1 for i, j in m.items()}) for k, m in enumerate(images)])
+
+    @classmethod
     def identity(cls, c: CochainComplex):
         return cls(c, c, [IntMatrix.identity(c.n_cells(k))
                           for k in range(c.dimension + 1)])
@@ -280,6 +293,37 @@ class CellularMap:
         return f"CellularMap({self.source!r} -> {self.target!r})"
 
 
+def _cover_fault(f: CellularMap) -> NotWellDefined | None:
+    """The error of the first source cell, by degree and index, whose
+    pullback row covers two target cells or one with multiplicity."""
+    for k, p in enumerate(f.cochain):
+        for i, row in enumerate(p.sparse_rows):
+            if len(row) > 1 or row and abs(*row.values()) != 1:
+                return NotWellDefined(f"degree-{k} cell covers " + (
+                    "more than one target cell" if len(row) > 1
+                    else "a target cell with multiplicity"),
+                    witness=f.source.cells[k][i])
+    return None
+
+
+def _square(f: CellularMap, k: int) -> bool:
+    """f* delta = delta f* at degree k through the assignment: each row of
+    delta_X, pulled back cell by cell, is its cell's image's row of delta_Y
+    times the sign."""
+    below, dy = f.cells[k], f.target.coboundary(k).sparse_rows
+    for image, row in zip(f.cells[k + 1], f.source.coboundary(k).sparse_rows):
+        pulled = {}
+        for a, v in row.items():
+            if below[a]:
+                j, s = below[a]
+                pulled[j] = pulled.get(j, 0) + s * v
+        if {j: v for j, v in pulled.items() if v} != (
+                {j: image[1] * v for j, v in dy[image[0]].items()}
+                if image else {}):
+            return False
+    return True
+
+
 def pullback(f: CellularMap, require_injective: bool = False):
     """Cochain matrices f*_k : C^k(target) -> C^k(source), i.e. f.cochain.
 
@@ -287,22 +331,19 @@ def pullback(f: CellularMap, require_injective: bool = False):
     NotInjectiveOnCochains names the first degree where it is not.
     """
     if require_injective:
-        for k, p in enumerate(f.cochain):
-            if not _injective(p):
+        for k in range(len(f.cochain)):
+            if not _injective(f, k):
                 raise NotInjectiveOnCochains(
                     f"pullback not injective on degree-{k} cochains")
     return f.cochain
 
 
-def _injective(p: IntMatrix) -> bool:
-    """Whether p is injective on integer vectors.  When each row has at
-    most one entry (each source cell covers at most one target cell, as for
-    every factor map of the catalog), that holds exactly when every column
-    is covered; otherwise p is decomposed (rank)."""
-    rows = p.sparse_rows
-    if all(len(r) <= 1 for r in rows):
-        return len(set().union(*rows)) == p.cols
-    return rank(p) == p.cols
+def _injective(f: CellularMap, k: int) -> bool:
+    """Whether f*_k is injective on integer vectors: with an assignment,
+    exactly when every target cell is hit; otherwise by rank."""
+    if f.cells is None:
+        return rank(f.cochain[k]) == f.target.n_cells(k)
+    return len({c[0] for c in f.cells[k] if c}) == f.target.n_cells(k)
 
 
 def cohomology_tower(c: CochainComplex, self_map: CellularMap, k: int) -> TowerGroup:
@@ -349,49 +390,42 @@ class QuotientComplex:
 
 
 def quotient_complex(f: CellularMap) -> QuotientComplex:
-    """Quotient cochain complex of a factor map (one target cell per source
-    cell), kept in the source's content entry under the target's content
-    and f's chain matrices, so its checks run once per distinct content."""
+    """Quotient cochain complex of a factor map, read off its assignment and
+    kept in the source's content entry under the target's content and f's
+    chain matrices, so its checks run once per distinct content.
+
+    The first source cell over each target cell represents it; the others
+    are the quotient basis.  proj sends a basis cell i over a target cell
+    with sign t, whose representative r has sign s, to e_i - t s e_r, and
+    delta_Q = proj delta_X section.
+    """
     x, y = f.source, f.target
     key = y._key, tuple(f.chain)
     cached = x._hcache.get(key)
     if cached is not None:
         return cached
     pb = pullback(f, require_injective=True)
+    if f.cells is None:
+        raise _cover_fault(f)
     projs, sections, qcells, reps = [], [], [], []
-    for k, p in enumerate(pb):
-        # each source cell covers at most one target cell, with sign +-1;
-        # f* is injective, so then every target cell gets a representative
-        cover, rep = [], {}
-        for i, row in enumerate(p.sparse_rows):
-            nz = list(row.items())
-            if len(nz) > 1:
-                raise NotWellDefined(
-                    f"degree-{k} cell covers more than one target cell",
-                    witness=x.cells[k][i])
-            if nz and abs(nz[0][1]) != 1:
-                raise NotWellDefined(
-                    f"degree-{k} cell covers a target cell with multiplicity",
-                    witness=x.cells[k][i])
-            cover.append(nz[0] if nz else None)
-            if nz:
-                rep.setdefault(nz[0][0], (i, nz[0][1]))
-        n = p.rows
-        rep_rows = {i for i, _ in rep.values()}
-        nonrep = [i for i in range(n) if i not in rep_rows]
-        # projection: subtract the pullback of the representative coordinate
+    for k, cover in enumerate(f.cells):
+        rep, basis = {}, []
+        for i, c in enumerate(cover):
+            if c is not None and c[0] not in rep:
+                rep[c[0]] = i, c[1]
+            else:
+                basis.append(i)
         q = {}
-        for idx, i in enumerate(nonrep):
+        for idx, i in enumerate(basis):
             q[idx, i] = 1
             if cover[i] is not None:
-                j, t = cover[i]
-                ri, s = rep[j]
-                q[idx, ri] = -t * s
-        projs.append(IntMatrix.from_entries(len(nonrep), n, q))
-        sections.append(IntMatrix.from_entries(
-            n, len(nonrep), {(i, idx): 1 for idx, i in enumerate(nonrep)}))
-        qcells.append([x.cells[k][i] for i in nonrep])
-        reps.append(IntMatrix.from_entries(p.cols, n, {
+                r, s = rep[cover[i][0]]
+                q[idx, r] = -cover[i][1] * s
+        projs.append(IntMatrix.from_entries(len(basis), len(cover), q))
+        sections.append(IntMatrix.from_entries(len(cover), len(basis), {
+            (i, idx): 1 for idx, i in enumerate(basis)}))
+        qcells.append([x.cells[k][i] for i in basis])
+        reps.append(IntMatrix.from_entries(y.n_cells(k), len(cover), {
             (j, i): s for j, (i, s) in rep.items()}))
     deltas = []
     for k in range(x.dimension):

@@ -44,18 +44,26 @@ class GroupExpr:
 
     Localization bases are normalized to the radical of the inverted
     integer (Z[1/4] and Z[1/2] are the same group), Z[1/1] is folded into
-    the free part and Z[1/0] into the zero summand.
+    the free part and Z[1/0] into the zero summand, as are Z_1 and a
+    multiplicity 0.  A torsion order below 1, or a negative base,
+    multiplicity or free rank, names no group and is refused (ValueError).
     """
 
     __slots__ = ("torsion_parts", "localization_parts", "free_rank", "unclassified")
 
     def __init__(self, torsion_parts=(), localization_parts=(), free_rank=0,
                  unclassified=None):
-        self.torsion_parts = sorted(int(t) for t in torsion_parts if int(t) > 1)
+        torsion = [int(t) for t in torsion_parts]
         free = int(free_rank)
+        parts = [(int(m), int(a)) for m, a in localization_parts]
+        if min(torsion, default=1) < 1 or free < 0 \
+                or min(map(min, parts), default=0) < 0:
+            raise ValueError(
+                f"no group has torsion orders {torsion}, localizations "
+                f"{parts} (base, multiplicity) and free rank {free}")
+        self.torsion_parts = sorted(t for t in torsion if t > 1)
         locs = {}
-        for m, a in localization_parts:
-            m, a = int(m), int(a)
+        for m, a in parts:
             if a == 0 or m == 0:
                 continue
             if m == 1:

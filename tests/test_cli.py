@@ -394,6 +394,36 @@ class TestProcess:
             "teardown\n" * teardown
 
 
+class _Monitoring:
+    """A stand-in for sys.monitoring (Python 3.12 and later) with one tool
+    registered, under id `tool`, or none."""
+
+    def __init__(self, tool):
+        self.tool = tool
+
+    def get_tool(self, tool_id):
+        if not 0 <= tool_id <= 5:
+            raise ValueError(f"invalid tool {tool_id}")
+        return "a tool" if tool_id == self.tool else None
+
+
+@pytest.mark.parametrize("tool", [None, 0, 1, 2, 5])
+def test_run_honours_monitoring_tools(tool, monkeypatch):
+    """A tool registered through sys.monitoring, such as coverage's sysmon
+    core, counts as a hook: run() then exits through sys.exit, so that the
+    tool's exit handlers run.  Without one it ends with os._exit."""
+    exits = []
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(os, "_exit", exits.append)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.setattr(sys, "monitoring", _Monitoring(tool), raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3
+    assert exits == ([3] if tool is None else [])
+
+
 # parameters: small (most often), past the MAX_IMAGE bound, past int()'s
 # 4300 digits, negative, signed, with underscores or blanks, non-ASCII
 # digits, junk

@@ -2,13 +2,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from complexes_reference import _injective
 from subst2d_reference import lattice_steps
 from tilecohom.abelian import FgAbGroup, IntMatrix, kernel_basis, rank
 from tilecohom.catalog import PATH_STARTS, PATH_WORDS, catalog_factor_maps
-from tilecohom.complexes import (CellularMap, CochainComplex, _injective,
-                                 cohomology, cohomology_tower,
-                                 hom_on_cohomology, les_quotient, pullback,
-                                 quotient_complex)
+from tilecohom.complexes import (CellularMap, CochainComplex, cohomology,
+                                 cohomology_tower, hom_on_cohomology,
+                                 les_quotient, pullback, quotient_complex)
 from tilecohom.errors import (NotACochainMap, NotInjectiveOnCochains,
                               NotWellDefined)
 from tilecohom.limits import TowerGroup, classify

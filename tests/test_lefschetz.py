@@ -22,6 +22,25 @@ What it cannot see: the traces of all powers fix only the characteristic
 polynomial over Q of each alternating sum.  Localization bases (Z[1/2]
 against Z[1/4]), whether a limit splits, and torsion, which (x) Q kills,
 are invisible to it.
+
+Fixed points.  In 1-D, -L(f^n), read off the cochain matrices of the
+approximant complex, counts the tilings that the n-th power of the
+substitution homeomorphism omega fixes (Anderson-Putnam, ETDS 18, 1998,
+who compute the zeta function of omega from the complex), and that count
+needs only the rule.  omega^n inflates about the origin and substitutes
+by sigma^n.  If the origin of a fixed tiling is the vertex between tiles
+a and b, then ab is legal, sigma^n(a) ends in a and sigma^n(b) starts
+with b; conversely each such 2-word gives one fixed tiling, the limit of
+sigma^(nk)(a).sigma^(nk)(b).  If the origin lies inside a tile a = [c, c+1)
+of a rule of constant length L, that tile sits at some position j of
+sigma^n(a) = [L^n c, L^n (c+1)), so c = L^n c + j, c = -j / (L^n - 1), and
+-1 < c < 0 exactly when 1 <= j <= L^n - 2; each such j with
+sigma^n(a)[j] = a gives one fixed tiling.  The check compares the two for
+n <= 3 on `tm` and `pd` with k, l <= 12 and on `sol:2..24`, with ints
+only.  It sees the self-maps' cochain matrices (collars, legal words and
+the substitution images of cells) against the rule, but only through
+one alternating sum per power: not how it splits between H^0 and H^1,
+and nothing of the cohomology groups or of the factor maps.
 """
 from fractions import Fraction
 
@@ -191,3 +210,69 @@ def test_dropped_quotient_degree_fails():
     x, y, q = _map_towers(f, sx, sy)
     assert _adds_up(x, y, q)
     assert not _adds_up(x, y, q[:-1])
+
+
+# ---- fixed points of the substitution homeomorphism (1-D) ----
+
+FIXED_POWERS = 3
+RULES = {"tm": subst1d.tm_substitution, "pd": subst1d.pd_substitution,
+         "sol": subst1d.solenoid_substitution}
+FIXED_SPACES = {"tm": [f"tm:{k},{l}" for k in range(1, 13)
+                       for l in range(1, 13)],
+                "pd": [f"pd:{k},{l}" for k in range(1, 13)
+                       for l in range(1, 13)],
+                "sol": [f"sol:{m}" for m in range(2, 25)]}
+
+
+def _rule(name):
+    family, params = name.split(":")
+    return RULES[family](*map(int, params.split(","))).rule
+
+
+def _legal_pairs(rule):
+    """The legal 2-words: those inside an image sigma(a), closed under
+    taking the 2-words inside sigma(ab) of a legal ab."""
+    pairs = {w[i:i + 2] for w in rule.values() for i in range(len(w) - 1)}
+    todo = list(pairs)
+    while todo:
+        a, b = todo.pop()
+        w = rule[a] + rule[b]
+        for i in range(len(w) - 1):
+            if w[i:i + 2] not in pairs:
+                pairs.add(w[i:i + 2])
+                todo.append(w[i:i + 2])
+    return pairs
+
+
+def _fixed_tilings(rule, interior=True):
+    """[number of tilings fixed by omega^n for n = 1..FIXED_POWERS], from
+    the rule alone (see the module docstring)."""
+    pairs, power, out = _legal_pairs(rule), dict(rule), []
+    for n in range(FIXED_POWERS):
+        if n:
+            power = {a: tuple(x for c in w for x in rule[c])
+                     for a, w in power.items()}
+        count = sum(power[a][-1] == a and power[b][0] == b for a, b in pairs)
+        if interior and len({len(w) for w in rule.values()}) == 1:
+            count += sum(w[1:-1].count(a) for a, w in power.items())
+        out.append(count)
+    return out
+
+
+def _minus_lefschetz(name):
+    """[-L(f^n) for n = 1..FIXED_POWERS] of the space's self-map, from the
+    traces of its cochain matrices."""
+    return [-x for x in _cochain_lefschetz(subst1d.system_1d(name)[1])
+            [:FIXED_POWERS]]
+
+
+@pytest.mark.parametrize("family", sorted(FIXED_SPACES))
+def test_fixed_points_of_the_substitution(family):
+    for name in FIXED_SPACES[family]:
+        assert _minus_lefschetz(name) == _fixed_tilings(_rule(name)), name
+
+
+def test_fixed_point_count_needs_its_interior_positions():
+    # the same count without the tile-centred fixed points fails the check
+    for name in ("tm:2,1", "pd:3,2", "sol:3"):
+        assert _minus_lefschetz(name) != _fixed_tilings(_rule(name), False)

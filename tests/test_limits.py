@@ -53,6 +53,35 @@ class TestGroupExpr:
         with pytest.raises(ValueError, match="cannot parse"):
             GroupExpr.parse(text)
 
+    # each of these used to build an expression that renders as another
+    # group: Z[1/2], Z, 0, Z[1/2], and 0 for Z_0, which is Z
+    @pytest.mark.parametrize("args", [
+        ((), [(2, -1)], 0), ((), (), -1), ([-3], (), 0), ((), [(-4, 1)], 0),
+        ([0], (), 0), ([2, 0], (), 1), ((), [(0, -1)], 0),
+        ((), [(-1, 0)], 0), ((), [(1, -2)], 3)])
+    def test_refuses_impossible_parts(self, args):
+        with pytest.raises(ValueError, match="no group has"):
+            GroupExpr(*args)
+
+    def test_documented_folds_stay(self):
+        # Z_1, Z[1/1], Z[1/0] and multiplicity 0
+        assert str(GroupExpr([1, 2], [(1, 2), (0, 3), (5, 0)], 1)) == \
+            "Z_2 + Z^3"
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(-2, 40), max_size=4),
+           st.lists(st.tuples(st.integers(-2, 40), st.integers(-2, 4)),
+                    max_size=4),
+           st.integers(-2, 5))
+    def test_accepted_expressions_render_back(self, torsion, locs, free):
+        try:
+            e = GroupExpr(torsion, locs, free)
+        except ValueError:
+            assert min(torsion, default=1) < 1 or free < 0 \
+                or any(m < 0 or a < 0 for m, a in locs)
+            return
+        assert GroupExpr.parse(e.render()) == e
+
     def test_parse_keeps_unnormalized_bases(self):
         assert GroupExpr.parse("Z[1/4] + Z^1") == GroupExpr.parse("Z[1/2] + Z")
 
