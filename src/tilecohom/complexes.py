@@ -226,10 +226,9 @@ class CellularMap:
     sends an edge to an edge path, a factor map sends each cell to a
     single cell with sign +1.  `cochain[k]` is the pullback
     f*_k = F_k^T : C^k(target) -> C^k(source), and commutation with the
-    coboundary is checked on it at construction.  When every source cell
-    goes to at most one target cell, with sign +-1, `cells[k][i]` is the
-    (target cell, sign) of source cell i, or None: the map's assignment,
-    through which the checks read it.  Otherwise `cells` is None.
+    coboundary is checked on it at construction.  If each source cell goes
+    to at most one target cell, with sign +-1, `cells[k][i]` is cell i's
+    (target cell, sign) or None; otherwise `cells` is None.
     """
 
     __slots__ = ("source", "target", "chain", "cochain", "cells")
@@ -244,14 +243,12 @@ class CellularMap:
             if f.rows != target.n_cells(k) or f.cols != source.n_cells(k):
                 raise ValueError(f"chain matrix {k} has wrong shape")
         self.cochain = [f.transpose() for f in self.chain]
-        self.cells = None if _cover_fault(self) else [
-            [next(iter(r.items()), None) for r in p.sparse_rows]
-            for p in self.cochain]
+        self.cells = _assignment(self)
         for k in range(source.dimension):
             # f* delta = delta f*, the transpose of d f = f d
-            if not (_square(self, k) if self.cells is not None else
-                    self.cochain[k + 1] * target.coboundary(k)
-                    == source.coboundary(k) * self.cochain[k]):
+            left = self.cochain[k + 1] * self.target.coboundary(k)
+            right = self.source.coboundary(k) * self.cochain[k]
+            if left != right:
                 raise NotACochainMap(f"boundary square fails at degree {k + 1}")
 
     @classmethod
@@ -271,13 +268,6 @@ class CellularMap:
         return cls(source, target, chain)
 
     @classmethod
-    def cellwise(cls, source, target, images):
-        """images[k]: dict source-cell index -> target-cell index, sign +1."""
-        return cls(source, target, [IntMatrix.from_entries(
-            target.n_cells(k), source.n_cells(k),
-            {(j, i): 1 for i, j in m.items()}) for k, m in enumerate(images)])
-
-    @classmethod
     def identity(cls, c: CochainComplex):
         return cls(c, c, [IntMatrix.identity(c.n_cells(k))
                           for k in range(c.dimension + 1)])
@@ -293,35 +283,22 @@ class CellularMap:
         return f"CellularMap({self.source!r} -> {self.target!r})"
 
 
-def _cover_fault(f: CellularMap) -> NotWellDefined | None:
-    """The error of the first source cell, by degree and index, whose
-    pullback row covers two target cells or one with multiplicity."""
+def _assignment(f: CellularMap, refuse: bool = False):
+    """Each source cell's (target cell, sign) or None, by degree; None, or
+    with refuse NotWellDefined, if a cell's pullback row is not one +-1."""
+    cells = []
     for k, p in enumerate(f.cochain):
+        cells.append([])
         for i, row in enumerate(p.sparse_rows):
             if len(row) > 1 or row and abs(*row.values()) != 1:
-                return NotWellDefined(f"degree-{k} cell covers " + (
+                if not refuse:
+                    return None
+                raise NotWellDefined(f"degree-{k} cell covers " + (
                     "more than one target cell" if len(row) > 1
                     else "a target cell with multiplicity"),
                     witness=f.source.cells[k][i])
-    return None
-
-
-def _square(f: CellularMap, k: int) -> bool:
-    """f* delta = delta f* at degree k through the assignment: each row of
-    delta_X, pulled back cell by cell, is its cell's image's row of delta_Y
-    times the sign."""
-    below, dy = f.cells[k], f.target.coboundary(k).sparse_rows
-    for image, row in zip(f.cells[k + 1], f.source.coboundary(k).sparse_rows):
-        pulled = {}
-        for a, v in row.items():
-            if below[a]:
-                j, s = below[a]
-                pulled[j] = pulled.get(j, 0) + s * v
-        if {j: v for j, v in pulled.items() if v} != (
-                {j: image[1] * v for j, v in dy[image[0]].items()}
-                if image else {}):
-            return False
-    return True
+            cells[-1].append(next(iter(row.items()), None))
+    return cells
 
 
 def pullback(f: CellularMap, require_injective: bool = False):
@@ -339,8 +316,7 @@ def pullback(f: CellularMap, require_injective: bool = False):
 
 
 def _injective(f: CellularMap, k: int) -> bool:
-    """Whether f*_k is injective on integer vectors: with an assignment,
-    exactly when every target cell is hit; otherwise by rank."""
+    """Whether f*_k is injective: every target cell is hit, or by rank."""
     if f.cells is None:
         return rank(f.cochain[k]) == f.target.n_cells(k)
     return len({c[0] for c in f.cells[k] if c}) == f.target.n_cells(k)
@@ -390,31 +366,21 @@ class QuotientComplex:
 
 
 def quotient_complex(f: CellularMap) -> QuotientComplex:
-    """Quotient cochain complex of a factor map, read off its assignment and
-    kept in the source's content entry under the target's content and f's
-    chain matrices, so its checks run once per distinct content.
-
-    The first source cell over each target cell represents it; the others
-    are the quotient basis.  proj sends a basis cell i over a target cell
-    with sign t, whose representative r has sign s, to e_i - t s e_r, and
-    delta_Q = proj delta_X section.
-    """
+    """Quotient cochain complex of a factor map, read off its assignment:
+    the first source cell over each target cell represents it, the others
+    span the quotient.  Kept in the source's content entry under the target's
+    content and f's chain matrices, so its checks run once per content."""
     x, y = f.source, f.target
     key = y._key, tuple(f.chain)
     cached = x._hcache.get(key)
     if cached is not None:
         return cached
     pb = pullback(f, require_injective=True)
-    if f.cells is None:
-        raise _cover_fault(f)
     projs, sections, qcells, reps = [], [], [], []
-    for k, cover in enumerate(f.cells):
-        rep, basis = {}, []
-        for i, c in enumerate(cover):
-            if c is not None and c[0] not in rep:
-                rep[c[0]] = i, c[1]
-            else:
-                basis.append(i)
+    for k, cover in enumerate(f.cells or _assignment(f, refuse=True)):
+        # reversed, so the first cell over each target cell represents it
+        rep = {c[0]: (i, c[1]) for i, c in reversed([*enumerate(cover)]) if c}
+        basis = [i for i, c in enumerate(cover) if not c or rep[c[0]][0] != i]
         q = {}
         for idx, i in enumerate(basis):
             q[idx, i] = 1

@@ -655,7 +655,10 @@ def _factor_map_depth(fine: str, coarse: str, r: int):
                    fclasses, SIDES)
     m0 = _cell_map(fv, lambda c, k: cv[4 * down[c] + k], "vertex image",
                    fclasses, CORNERS)
-    return CellularMap.cellwise(fcx, ccx, (m0, m1, down))
+    return CellularMap(fcx, ccx, [
+        IntMatrix.from_entries(ccx.n_cells(k), fcx.n_cells(k),
+                               {(j, i): 1 for i, j in m.items()})
+        for k, m in enumerate((m0, m1, down))])
 
 
 def path_realizations(space: str, word: str):

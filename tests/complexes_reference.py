@@ -17,10 +17,10 @@ module, since the names in this module are the references'.
 
 `CellularMap`, `pullback`, `_injective` and `quotient_complex` are the
 matrix path that reading a factor map through its cell assignment
-replaced: the map checks its boundary square by two products per degree,
-injectivity is decided on the pullback's rows, and the quotient re-derives
-each source cell's cover from the pullback rows.  `CellularMap` keeps the
-constructor and its checks only, verbatim; the rest are verbatim, except
+replaced: the map records no assignment, injectivity is decided on the
+pullback's rows, and the quotient re-derives each source cell's cover
+from the pullback rows.  `CellularMap` keeps the constructor and its
+checks only, verbatim; the rest are verbatim, except
 that `quotient_complex` neither reads nor writes the source's content
 entry, so that the quotient it builds never stands in for the one under
 test.  Test-only code.

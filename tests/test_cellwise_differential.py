@@ -3,9 +3,9 @@ against the matrix path.
 
 A factor map of the catalog sends each cell to one cell with sign +-1, and
 its quotient cohomology is that of C*(X)/f*C*(Y) (Barge-Sadun, NYJM 17,
-2011).  `CellularMap` records that assignment when it has one, and its
-boundary square, `_injective` and `quotient_complex` read the map through
-it; other maps keep the matrix path.  The matrix path it replaced is kept
+2011).  `CellularMap` records that assignment when it has one, and `_injective`
+and `quotient_complex` read the map through it; other maps keep the
+matrix path.  The matrix path it replaced is kept
 verbatim in `tests/complexes_reference.py`.  On every case both must give
 the same chain and cochain matrices, the same quotient complex (cells,
 coboundaries, proj, section and rep), the same groups and nodes in
@@ -102,21 +102,17 @@ def test_catalog_maps(monkeypatch):
 
 
 def test_catalog_maps_take_the_cellwise_path(monkeypatch):
-    """Neither the square nor injectivity multiplies or decomposes a
-    matrix for a map with an assignment; a self-map multiplies."""
-    cases = _catalog_cases()
-
+    """Injectivity decomposes no matrix for a map with an assignment; for a
+    self-map, which has none, it does."""
     def banned(*args):
         raise AssertionError("the matrix path ran")
 
-    monkeypatch.setattr(IntMatrix, "__mul__", banned)
     monkeypatch.setattr(complexes, "rank", banned)
-    for key, f, sx, _sy in cases:
-        g = CellularMap(f.source, f.target, f.chain)
-        assert g.cells == f.cells, key
-        pullback(g, require_injective=True)
+    for key, f, sx, _sy in _catalog_cases():
+        pullback(f, require_injective=True)
+    assert sx.cells is None
     with pytest.raises(AssertionError, match="matrix path"):
-        CellularMap(sx.source, sx.target, sx.chain)
+        pullback(sx, require_injective=True)
 
 
 @pytest.mark.parametrize("k,l", GRID)

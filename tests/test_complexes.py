@@ -2,13 +2,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complexes_reference import _injective
 from subst2d_reference import lattice_steps
 from tilecohom.abelian import FgAbGroup, IntMatrix, kernel_basis, rank
 from tilecohom.catalog import PATH_STARTS, PATH_WORDS, catalog_factor_maps
-from tilecohom.complexes import (CellularMap, CochainComplex, cohomology,
-                                 cohomology_tower, hom_on_cohomology,
-                                 les_quotient, pullback, quotient_complex)
+from tilecohom.complexes import (CellularMap, CochainComplex, _injective,
+                                 cohomology, cohomology_tower,
+                                 hom_on_cohomology, les_quotient, pullback,
+                                 quotient_complex)
 from tilecohom.errors import (NotACochainMap, NotInjectiveOnCochains,
                               NotWellDefined)
 from tilecohom.limits import TowerGroup, classify
@@ -252,7 +252,12 @@ class TestInjectivityByCover:
     def test_cover_rule_matches_rank(self, data):
         rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
         p = data.draw(small_matrices(rows, cols))
-        assert _injective(p) == (rank(p) == p.cols)
+        # the map between sets of points whose pullback is p
+        x, y = (CochainComplex([[f"{name}{i}" for i in range(n)]], [])
+                for name, n in (("x", rows), ("y", cols)))
+        f = CellularMap(x, y, [p.transpose()])
+        assert f.cochain == [p]
+        assert _injective(f, 0) == (rank(p) == p.cols)
 
     def test_catalog_maps_decided_by_cover(self):
         # every lattice edge, composite, path word and 1-D factor map has
@@ -262,9 +267,10 @@ class TestInjectivityByCover:
         maps += [compose_realization(lattice_steps(name, "0,0"))
                  for name in SCHEME_NAMES if name != "0,0"]
         for f in maps:
-            for p in f.cochain:
+            assert f.cells is not None
+            for k, p in enumerate(f.cochain):
                 assert all(len(r) <= 1 for r in p.sparse_rows)
-                assert _injective(p) == (rank(p) == p.cols)
+                assert _injective(f, k) == (rank(p) == p.cols)
 
     def test_clean_map_missing_a_target_cell(self):
         # the circle onto the wedge of two loops, e0 -> a0: each row is one
@@ -292,7 +298,7 @@ class TestInjectivityByCover:
         # rejects the multiplicity
         x, y = circle(1), circle(1)
         f = CellularMap(x, y, [M([[1]]), M([[2]])])
-        assert _injective(f.cochain[1])
+        assert _injective(f, 1)
         with pytest.raises(NotWellDefined) as exc:
             quotient_complex(f)
         assert str(exc.value) == \
