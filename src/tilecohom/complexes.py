@@ -375,7 +375,7 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
     cached = x._hcache.get(key)
     if cached is not None:
         return cached
-    pb = pullback(f, require_injective=True)
+    pullback(f, require_injective=True)
     projs, sections, qcells, reps = [], [], [], []
     for k, cover in enumerate(f.cells or _assignment(f, refuse=True)):
         # reversed, so the first cell over each target cell represents it
@@ -393,13 +393,8 @@ def quotient_complex(f: CellularMap) -> QuotientComplex:
         qcells.append([x.cells[k][i] for i in basis])
         reps.append(IntMatrix.from_entries(y.n_cells(k), len(cover), {
             (j, i): s for j, (i, s) in rep.items()}))
-    deltas = []
-    for k in range(x.dimension):
-        deltas.append(projs[k + 1] * (x.coboundary(k) * sections[k]))
-        # section-independence: delta must kill the pulled-back cochains
-        if not (projs[k + 1] * (x.coboundary(k) * pb[k])).is_zero():
-            raise NotWellDefined(
-                f"coboundary does not descend to the quotient at degree {k}")
+    deltas = [projs[k + 1] * (x.coboundary(k) * sections[k])
+              for k in range(x.dimension)]
     qc = x._hcache[key] = QuotientComplex(CochainComplex(qcells, deltas),
                                           projs, sections, reps)
     return qc
@@ -440,17 +435,11 @@ def les_quotient(f: CellularMap, self_x: CellularMap, self_y: CellularMap):
         tx = cohomology_tower(x, self_x, k)
         tq = _quotient_cohomology_tower(qc, self_x, k)
         if k > 0:
-            # zig-zag connecting map H^(k-1)_Q -> H^k(Y) on cocycle bases:
-            # the lift y through f* is read off the representative rows
+            # zig-zag connecting map H^(k-1)_Q -> H^k(Y): delta section z
+            # lies in ker proj = im f*, and rep[k] reads its preimage off
             hq = towers[-1].group
-            lifted = x.coboundary(k - 1) * (qc.section[k - 1] * hq.ambient_lift)
-            y_coords = qc.rep[k] * lifted
-            if f.cochain[k] * y_coords != lifted:
-                raise NotACochainMap("connecting map lift failed")
-            coords = _express(ty.group, y_coords)
-            if coords is None:
-                raise NotACochainMap("connecting image is not a cocycle class")
-            maps.append(GroupHom(hq, ty.group, coords))
+            maps.append(_induced(hq, ty.group, qc.rep[k] * (
+                x.coboundary(k - 1) * (qc.section[k - 1] * hq.ambient_lift))))
         maps.append(hom_on_cohomology(f.cochain[k], ty.group, tx.group))
         maps.append(hom_on_cohomology(qc.proj[k], tx.group, tq.group))
         towers += [ty, tx, tq]

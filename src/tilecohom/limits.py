@@ -9,6 +9,7 @@ honest `unclassified` payload rather than a guessed form.
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 import sympy
@@ -46,16 +47,19 @@ class GroupExpr:
     integer (Z[1/4] and Z[1/2] are the same group), Z[1/1] is folded into
     the free part and Z[1/0] into the zero summand, as are Z_1 and a
     multiplicity 0.  A torsion order below 1, or a negative base,
-    multiplicity or free rank, names no group and is refused (ValueError).
+    multiplicity or free rank, names no group and is refused (ValueError);
+    every part is read through operator.index, so a float or a string is a
+    TypeError.
     """
 
     __slots__ = ("torsion_parts", "localization_parts", "free_rank", "unclassified")
 
     def __init__(self, torsion_parts=(), localization_parts=(), free_rank=0,
                  unclassified=None):
-        torsion = [int(t) for t in torsion_parts]
-        free = int(free_rank)
-        parts = [(int(m), int(a)) for m, a in localization_parts]
+        torsion = [operator.index(t) for t in torsion_parts]
+        free = operator.index(free_rank)
+        parts = [(operator.index(m), operator.index(a))
+                 for m, a in localization_parts]
         if min(torsion, default=1) < 1 or free < 0 \
                 or min(map(min, parts), default=0) < 0:
             raise ValueError(
@@ -159,6 +163,9 @@ class TowerGroup:
         self.limit = None
 
     def power(self, j: int) -> "TowerGroup":
+        """The tower of the j-th power of the endomorphism, j >= 0."""
+        if j < 0:
+            raise ValueError(f"an endomorphism has no power {j}")
         m = IntMatrix.identity(self.group.ngens)
         for _ in range(j):
             m = self.endo.matrix * m

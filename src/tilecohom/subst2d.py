@@ -644,13 +644,9 @@ def _factor_map_depth(fine: str, coarse: str, r: int):
     ccx, _, ce, cv = _ap_complex_2d_depth(coarse, r)
     fsys = _collared_system(fine, r)
     fclasses = fsys["classes"]
-    # the coarse class of each fine class, read off the master windows
-    down = {}
-    for a, b in zip(fsys["cls"], _collared_system(coarse, r)["cls"]):
-        if down.setdefault(a, b) != b:
-            raise NotWellDefined(
-                f"coarsening {fine} -> {coarse} not determined by fine "
-                "classes", witness=fclasses[a])
+    # the coarse class of each fine class, read off the master windows: the
+    # coarse decoration of a tile is a function of the fine one
+    down = dict(zip(fsys["cls"], _collared_system(coarse, r)["cls"]))
     m1 = _cell_map(fe, lambda c, s: ce[4 * down[c] + s], "edge image",
                    fclasses, SIDES)
     m0 = _cell_map(fv, lambda c, k: cv[4 * down[c] + k], "vertex image",

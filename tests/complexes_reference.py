@@ -23,7 +23,10 @@ from the pullback rows.  `CellularMap` keeps the constructor and its
 checks only, verbatim; the rest are verbatim, except
 that `quotient_complex` neither reads nor writes the source's content
 entry, so that the quotient it builds never stands in for the one under
-test.  Test-only code.
+test.  The section-independence check of this `quotient_complex` and the
+lift and cocycle checks of this `les_quotient` are no longer in the
+package, where construction proves them (`tests/test_factor_map_facts.py`);
+here they still run.  Test-only code.
 """
 from __future__ import annotations
 

@@ -15,8 +15,9 @@ plain ints and Fractions, no `snf` and no `classify`.
 On a factor map f: X -> Y whose self-maps intertwine, the cochains of X
 split into f*C(Y) and the quotient complex, so the Lefschetz numbers of
 the towers of `cohomology_tower` and `_quotient_cohomology_tower` add:
-L(X) = L(Y) + L(Q).  That is checked on the 1-D maps, the 12 lattice edges
-and the composed maps of the 11 golden path words.
+L(X) = L(Y) + L(Q).  That is checked on the 1-D maps, the 12 lattice edges,
+the composed maps of the 11 golden path words and the hypothesis letter
+codings of `test_lift_differential`.
 
 What it cannot see: the traces of all powers fix only the characteristic
 polynomial over Q of each alternating sum.  Localization bases (Z[1/2]
@@ -45,7 +46,9 @@ and nothing of the cohomology groups or of the factor maps.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, target
 
+from test_lift_differential import letter_codings
 from tilecohom import catalog, subst1d, subst2d
 from tilecohom.catalog import PATH_STARTS, PATH_WORDS
 from tilecohom.complexes import (_quotient_cohomology_tower, cohomology_tower,
@@ -180,6 +183,27 @@ def test_factor_maps_add_up():
     assert len(maps) == 3 * len(MAP_GRID) + 12 + len(PATH_WORDS)
     for key, f, sx, sy in maps:
         assert _adds_up(*_map_towers(f, sx, sy)), key
+
+
+def test_letter_codings_add_up():
+    """L(X) = L(Y) + L(Q) on hypothesis letter codings.  Most have
+    L(Q) = 0, so the search is steered to large |L(Q)|; some must have
+    L(Q) != 0, and on those a negated quotient tower must fail the check."""
+    seen = []
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(letter_codings())
+    def check(maps):
+        x, y, q = _map_towers(*maps)
+        lq = _lefschetz(q)
+        assert lq is not None and _adds_up(x, y, q)
+        target(float(sum(map(abs, lq))))
+        if any(lq):
+            seen.append(_adds_up(x, y, [([[-v for v in row] for row in e], rel)
+                                        for e, rel in q]))
+
+    check()
+    assert seen and not all(seen)
 
 
 def test_nontrivial_traces():

@@ -3,7 +3,8 @@ rows of `quotient_complex` against the `solve_matrix` lift it replaced
 (`complexes_reference.les_quotient`).
 
 f*_k y = lifted has at most one solution, since f*_k is injective, and
-`les_quotient` reads it as rep[k] * lifted and checks it.  On every catalog
+`les_quotient` reads it as rep[k] * lifted without a check: lifted lies in
+ker proj = im f* (see `test_factor_map_facts`).  On every catalog
 factor map, the 11 path words and hypothesis letter codings between 1-D
 substitutions, the lift must equal the solve, also on the coboundary of
 every quotient cochain (where the solve may fail), and the whole sequence

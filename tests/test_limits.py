@@ -63,6 +63,14 @@ class TestGroupExpr:
         with pytest.raises(ValueError, match="no group has"):
             GroupExpr(*args)
 
+    # each of these used to be truncated by int(): Z_2, Z, Z_3, Z[1/2]
+    @pytest.mark.parametrize("args", [
+        ([2.5], (), 0), ((), (), 1.9), (["3"], (), 0), ((), [("4", 1)], 0),
+        ((), [(4.7, 1)], 0), ((), [(2, 1.0)], 0)])
+    def test_refuses_non_integral_parts(self, args):
+        with pytest.raises(TypeError):
+            GroupExpr(*args)
+
     def test_documented_folds_stay(self):
         # Z_1, Z[1/1], Z[1/0] and multiplicity 0
         assert str(GroupExpr([1, 2], [(1, 2), (0, 3), (5, 0)], 1)) == \
@@ -177,6 +185,16 @@ class TestTowerGroup:
         endo = GroupHom(FgAbGroup.free(2), g, IntMatrix.from_rows([[1, 0]]))
         with pytest.raises(ValueError, match="self-map"):
             TowerGroup(g, endo)
+
+    def test_power(self):
+        t = tower(1, [], [[2]])
+        assert t.power(0).endo.matrix == IntMatrix.identity(1)
+        assert t.power(3).endo.matrix == IntMatrix.from_rows([[8]])
+
+    def test_negative_power_refused(self):
+        # power(-1) used to return the identity tower
+        with pytest.raises(ValueError, match="no power -1"):
+            tower(1, [], [[2]]).power(-1)
 
     def test_isomorphic_presentation_accepted(self):
         # another group object with the same signature is still a self-map
