@@ -203,6 +203,8 @@ class IntMatrix:
             {j: c * x for j, x in r.items()} for r in self._r))
 
     def __add__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         out = []
@@ -214,6 +216,8 @@ class IntMatrix:
         return IntMatrix._of_rows(self.rows, self.cols, tuple(out))
 
     def __sub__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         return self + other.scale(-1)
 
     def __neg__(self):
@@ -414,18 +418,9 @@ def solve_matrix(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
     return s.V * IntMatrix._of_rows(A.cols, B.cols, tuple(z))
 
 
-def lattice_contains(A: IntMatrix, vec) -> bool:
-    """Is vec in the column lattice of A?"""
-    return solve(A, vec) is not None
-
-
 def lattice_subset(A: IntMatrix, B: IntMatrix) -> bool:
     """Is every column of A in the column lattice of B?"""
     return solve_matrix(B, A) is not None
-
-
-def lattice_eq(A: IntMatrix, B: IntMatrix) -> bool:
-    return lattice_subset(A, B) and lattice_subset(B, A)
 
 
 def preimage_lattice(M: IntMatrix, L: IntMatrix) -> IntMatrix:
@@ -497,22 +492,8 @@ class FgAbGroup:
         self.ambient_lift = ambient_lift
         self._coords = None
 
-    @classmethod
-    def trivial(cls):
-        return cls(0)
-
-    @classmethod
-    def free(cls, n):
-        return cls(n)
-
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
-
-    def signature(self):
-        return (self.free_rank, self.torsion)
-
-    def element_is_zero(self, x):
-        return lattice_contains(self.rel, list(x))
 
     def __repr__(self):
         return f"FgAbGroup(free_rank={self.free_rank}, torsion={list(self.torsion)})"
@@ -560,12 +541,6 @@ class GroupHom:
 
     def is_injective(self) -> bool:
         return lattice_subset(self.kernel_gens(), self.domain.rel)
-
-    def is_surjective(self) -> bool:
-        stacked = self.matrix.hstack(self.codomain.rel)
-        s = snf(stacked)
-        return len([d for d in s.invariant_factors if d != 0]) == self.codomain.ngens \
-            and all(abs(d) == 1 for d in s.invariant_factors)
 
 
 def induced_hom(f_matrix: IntMatrix, dom: FgAbGroup, cod: FgAbGroup) -> GroupHom:

@@ -42,6 +42,11 @@ class CochainComplex:
         for k, d in enumerate(self.delta):
             if d.rows != len(self.cells[k + 1]) or d.cols != len(self.cells[k]):
                 raise ValueError(f"coboundary {k} has wrong shape")
+        self._index = [{c: i for i, c in enumerate(cs)} for cs in self.cells]
+        for k, (cs, index) in enumerate(zip(self.cells, self._index)):
+            if len(index) < len(cs):
+                raise ValueError(f"repeated cell in degree {k}: " + repr(next(
+                    c for i, c in enumerate(cs) if index[c] != i)))
         self._key = (tuple(map(tuple, self.cells)), tuple(self.delta))
         entry = _complexes.get(self._key)
         if entry is None:
@@ -49,7 +54,6 @@ class CochainComplex:
                 if not (self.delta[k + 1] * self.delta[k]).is_zero():
                     raise ValueError(f"delta o delta != 0 at degree {k}")
             entry = _complexes[self._key] = {}
-        self._index = [{c: i for i, c in enumerate(cs)} for cs in self.cells]
         self._hcache = entry
 
     def n_cells(self, k):

@@ -156,7 +156,8 @@ class TowerGroup:
 
     def __init__(self, group: FgAbGroup, endo: GroupHom):
         for side in (endo.domain, endo.codomain):
-            if side is not group and side.signature() != group.signature():
+            if side is not group and (side.ngens != group.ngens
+                                      or side.rel != group.rel):
                 raise ValueError("endo is not a self-map of the tower group")
         self.group = group
         self.endo = endo

@@ -151,13 +151,6 @@ class Substitution2D:
         self._pairs = None  # the legal 2-squares, closed once
         self._legal_cache = {}
 
-    def inflate(self, rows):
-        """Inflation of a patch given as rows of tiles, south row first
-        (rows[j][i] is the tile at (i, j))."""
-        rule = self.rule
-        return [[rule[t][(c, r)] for t in row for c in (0, 1)]
-                for row in rows for r in (0, 1)]
-
     def matrix(self) -> IntMatrix:
         idx = {t: i for i, t in enumerate(self.tiles)}
         return IntMatrix.from_entries(len(idx), len(idx), Counter(

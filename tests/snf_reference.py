@@ -6,7 +6,10 @@ verbatim (without the memo cache) so the differential tests can demand
 bit-identical transforms, normal forms and solutions.  `smith_solve_matrix`
 is the batched `solve_matrix` as it stood before it answered a matrix
 without columns by a zero test, verbatim: it takes a Smith form of every
-A.  Test-only code.
+A.  `is_surjective` is the former `GroupHom.is_surjective`, verbatim but
+for taking the hom as its argument: the tests now ask whether the cokernel
+of the hom's matrix beside the codomain relations is trivial.  Test-only
+code.
 """
 from __future__ import annotations
 
@@ -184,3 +187,10 @@ def smith_solve_matrix(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
         z.append(row)
     z.extend([{}] * (A.cols - r))
     return s.V * IntMatrix._of_rows(A.cols, B.cols, tuple(z))
+
+
+def is_surjective(self) -> bool:
+    stacked = self.matrix.hstack(self.codomain.rel)
+    s = snf(stacked)
+    return len([d for d in s.invariant_factors if d != 0]) == self.codomain.ngens \
+        and all(abs(d) == 1 for d in s.invariant_factors)

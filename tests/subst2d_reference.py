@@ -9,6 +9,7 @@ the per-scheme window work (`_system_for_q`), the tuple-keyed union-find
 demand identical windows, cells, matrices, rules and witnesses.  The
 row-patch `legal` (`RowSubstitution2D`), closure and `_master_index` that
 the flat squares of tile ids replaced are kept at the end, verbatim too,
+with the row inflation `_inflate` that was `Substitution2D.inflate`,
 followed by the `canonical_realization` that took the minimum over all
 realizations of a path label before it became the first one found, the
 row-patch `_forcing_power` that the side tables replaced, and the
@@ -440,7 +441,17 @@ def _cell_lookups(cx, sysd):
 # `_legal_patches` as it stood before it kept the 2-patches on the
 # substitution, and `_master_index`, which cut its windows from the rows of
 # `legal(m, m)`: verbatim but for the class they live on and the master
-# system `_master_index` reads.
+# system `_master_index` reads.  `_inflate` is the row inflation these
+# paths and `_forcing_power` below ran, `Substitution2D.inflate` as it
+# stood: verbatim but for taking the substitution as an argument.
+
+
+def _inflate(sub, rows):
+    """Inflation of a patch given as rows of tiles, south row first
+    (rows[j][i] is the tile at (i, j))."""
+    rule = sub.rule
+    return [[rule[t][(c, r)] for t in row for c in (0, 1)]
+            for row in rows for r in (0, 1)]
 
 
 class RowSubstitution2D(subst2d.Substitution2D):
@@ -454,7 +465,7 @@ class RowSubstitution2D(subst2d.Substitution2D):
             self.require_primitive()
             squares = _legal_patches(
                 [((t,),) for t in self.tiles],
-                lambda p, m: _windows(self.inflate(p), m, m), 2, max(w, h))
+                lambda p, m: _windows(_inflate(self, p), m, m), 2, max(w, h))
             self._legal_cache[key] = sorted(
                 set().union(*(_windows(p, w, h) for p in squares)), key=repr)
         return self._legal_cache[key]
@@ -537,7 +548,7 @@ def _master_index(r: int):
     centred = [cut(2 * n, r + c, r + rr) for c, rr in QUADS]
     children = []
     for w in windows:
-        big = [tid[t] for row in ms.inflate(_rows(w, n, ms.tiles))
+        big = [tid[t] for row in _inflate(ms, _rows(w, n, ms.tiles))
                for t in row]
         children.append(tuple(wid[sub(big)] for sub in centred))
     ids = [{key: wid[sub(w)] for key, sub in subs.items()} for w in masters]
@@ -567,7 +578,8 @@ def canonical_realization(space: str, word: str):
 # ---- the row-patch border-forcing test the side tables replaced ----
 #
 # `subst2d._forcing_power` as it stood when it inflated every legal 3x3
-# patch k times through the row-based `Substitution2D.inflate`: verbatim.
+# patch k times through the row-based `Substitution2D.inflate` (`_inflate`
+# above): verbatim.
 
 
 def _forcing_power(sub, max_power):
@@ -582,7 +594,7 @@ def _forcing_power(sub, max_power):
                 if rows[1][1] != t:
                     continue
                 for _ in range(k):
-                    rows = sub.inflate(rows)
+                    rows = _inflate(sub, rows)
                 rings.add(tuple(rows[j][i] for i, j in ring))
             if len(rings) > 1:
                 break

@@ -237,11 +237,11 @@ def test_prop_delta_delta_zero(rows, brows):
 @given(st.integers(1, 6), st.integers(1, 6))
 def test_prop_les_exact_random_ses(a, b):
     def tg(rows):
-        g = FgAbGroup.free(len(rows))
+        g = FgAbGroup(len(rows))
         return TowerGroup(g, GroupHom(g, g, IntMatrix.from_rows(rows)))
     ta, tb = tg([[a]]), tg([[b]])
     tab = tg([[a, 0], [0, b]])
-    zg = FgAbGroup.trivial()
+    zg = FgAbGroup(0)
     tz = TowerGroup(zg, GroupHom.zero(zg, zg))
     alpha = GroupHom(ta.group, tab.group, IntMatrix.from_rows([[1], [0]]))
     beta = GroupHom(tab.group, tb.group, IntMatrix.from_rows([[0, 1]]))
@@ -254,7 +254,7 @@ def test_prop_les_exact_random_ses(a, b):
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6),
        st.integers(1, 3))
 def test_prop_cofinality(a, b, d, j):
-    g = FgAbGroup.free(2)
+    g = FgAbGroup(2)
     t = TowerGroup(g, GroupHom(g, g, IntMatrix.from_rows([[a, b], [0, d]])))
     e1, e2 = classify(t), classify(t.power(j))
     if e1.unclassified is None and e2.unclassified is None:
@@ -264,7 +264,7 @@ def test_prop_cofinality(a, b, d, j):
 @settings(max_examples=200)
 @given(st.integers(-12, 12), st.integers(2, 12))
 def test_prop_classifier_normal_form(a, d):
-    g = FgAbGroup.free(1)
+    g = FgAbGroup(1)
     gt = FgAbGroup(1, IntMatrix.from_rows([[d]]))
     for t in (TowerGroup(g, GroupHom(g, g, IntMatrix.from_rows([[a]]))),
               TowerGroup(gt, GroupHom(gt, gt, IntMatrix.from_rows([[a]]),
@@ -324,7 +324,7 @@ def test_omitted_times2_map_breaks_exactness():
     qc3, t3 = _quotient_tower(phi, s_tm, 1)
     beta = GroupHom(t2.group, t3.group,
                     _hom_matrix(qc3.proj[1] * qc2.section[1], t2, t3))
-    zg = FgAbGroup.trivial()
+    zg = FgAbGroup(0)
     tz = TowerGroup(zg, GroupHom.zero(zg, zg))
     with pytest.raises(ExactnessFailure):
         limit_les([tz, t1, t2, t3, tz],

@@ -198,7 +198,7 @@ def not_well_defined():
 
 def exactness_failure():
     """The ExactnessFailure (at node "B") of Z -> Z -> Z, both maps 1."""
-    g = FgAbGroup.free(1)
+    g = FgAbGroup(1)
     one = GroupHom(g, g, IntMatrix.identity(1))
     terms = [TowerGroup(g, one)] * 3
     with pytest.raises(ExactnessFailure) as exc:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import complexes_reference as ref
 from tilecohom import abelian, complexes, subst1d, subst2d
-from tilecohom.abelian import GroupHom, IntMatrix, kernel_basis
+from tilecohom.abelian import GroupHom, IntMatrix, cokernel, kernel_basis
 from tilecohom.catalog import DEFAULT_GRID, catalog_factor_maps
 from tilecohom.complexes import (CochainComplex, _express, cohomology,
                                  quotient_complex)
@@ -42,7 +42,8 @@ def check_against_reference(c):
         old, new = ref.cohomology(c, k), cohomology(c, k)
         assert new.invariants == old.invariants
         iso = GroupHom(old, new, _express(new, old.ambient_lift))
-        assert iso.is_injective() and iso.is_surjective()
+        assert iso.is_injective() and cokernel(
+            iso.matrix.hstack(iso.codomain.rel)).is_trivial()
         assert _express(new, new.ambient_lift) == \
             IntMatrix.identity(new.ngens)
 

@@ -1,12 +1,14 @@
 """CW cochain complexes, cellular maps, quotient complexes."""
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subst2d_reference import lattice_steps
 from tilecohom.abelian import FgAbGroup, IntMatrix, kernel_basis, rank
 from tilecohom.catalog import PATH_STARTS, PATH_WORDS, catalog_factor_maps
-from tilecohom.complexes import (CellularMap, CochainComplex, _injective,
-                                 cohomology, cohomology_tower,
+from tilecohom.complexes import (CellularMap, CochainComplex, _complexes,
+                                 _injective, cohomology, cohomology_tower,
                                  hom_on_cohomology, les_quotient, pullback,
                                  quotient_complex)
 from tilecohom.errors import (NotACochainMap, NotInjectiveOnCochains,
@@ -94,6 +96,26 @@ class TestCochainComplex:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             CochainComplex([["v"], ["e"]], [IntMatrix.zeros(2, 1)])
+
+    @pytest.mark.parametrize("cells, delta", [
+        ([["v", "v"], ["e"]], [M([[1, -1]])]),
+        ([["v"], ["e", "f", "e"]], [M([[0], [0], [0]])]),
+        ([["v"], ["e"], [("f", 1), ("f", 1)]], [M([[0]]), M([[0], [0]])]),
+    ], ids=["degree-0", "degree-1", "degree-2"])
+    def test_repeated_cell_rejected(self, cells, delta):
+        # a repeated name used to build a complex whose cell_index answered
+        # the last position, so the identity map failed its boundary square
+        k, cell = next((k, c) for k, cs in enumerate(cells) for c in cs
+                       if cs.count(c) > 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"repeated cell in degree {k}: {cell!r}")):
+            CochainComplex(cells, delta)
+
+    def test_repeated_cell_refused_before_the_store(self):
+        before = len(_complexes)
+        with pytest.raises(ValueError, match="repeated cell"):
+            CochainComplex([["w", "w"], ["e"]], [M([[1, -1]])])
+        assert len(_complexes) == before
 
 
 class TestCellularMap:

@@ -1,11 +1,12 @@
 """Border forcing from supertile sides against the row-patch check it replaced.
 
 `tests/subst2d_reference.py` keeps the former `_forcing_power`, which
-inflated every legal 3x3 patch k times through `Substitution2D.inflate`,
-verbatim.  The side-table check must give the same answer for every
-max_power 0-5 on the nine descended rules, on `decorate(name)` callables,
-on the master rule and on seeded random primitive rules on ints, among
-which the answers None, 1 and 2 all occur.
+inflated every legal 3x3 patch k times through the row inflation that was
+`Substitution2D.inflate` (kept there as `_inflate`), verbatim.  The
+side-table check must give the same answer for every max_power 0-5 on the
+nine descended rules, on `decorate(name)` callables, on the master rule
+and on seeded random primitive rules on ints, among which the answers
+None, 1 and 2 all occur.
 """
 import random
 

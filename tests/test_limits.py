@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tilecohom.abelian import FgAbGroup, GroupHom, IntMatrix, cokernel
-from tilecohom.errors import ExactnessFailure, NotACochainMap, Unclassified
+from tilecohom.errors import (ExactnessFailure, NotACochainMap, NotWellDefined,
+                             Unclassified)
 from tilecohom.limits import (GroupExpr, TowerGroup, classify,
                               eventual_restriction, iso_check, limit_les,
                               radical, subquotient_tower, verify_split)
@@ -175,14 +176,14 @@ class TestTowerGroup:
     def test_codomain_must_be_the_tower_group(self):
         # used to be accepted, and classify then failed with an untyped
         # "row mismatch" from hstack
-        g = FgAbGroup.free(1)
-        endo = GroupHom(g, FgAbGroup.free(2), IntMatrix.from_rows([[1], [0]]))
+        g = FgAbGroup(1)
+        endo = GroupHom(g, FgAbGroup(2), IntMatrix.from_rows([[1], [0]]))
         with pytest.raises(ValueError, match="self-map"):
             TowerGroup(g, endo)
 
     def test_domain_must_be_the_tower_group(self):
-        g = FgAbGroup.free(1)
-        endo = GroupHom(FgAbGroup.free(2), g, IntMatrix.from_rows([[1, 0]]))
+        g = FgAbGroup(1)
+        endo = GroupHom(FgAbGroup(2), g, IntMatrix.from_rows([[1, 0]]))
         with pytest.raises(ValueError, match="self-map"):
             TowerGroup(g, endo)
 
@@ -198,9 +199,32 @@ class TestTowerGroup:
 
     def test_isomorphic_presentation_accepted(self):
         # another group object with the same signature is still a self-map
-        g, h = FgAbGroup.free(1), FgAbGroup.free(1)
+        g, h = FgAbGroup(1), FgAbGroup(1)
         t = TowerGroup(g, GroupHom(h, h, IntMatrix.from_rows([[2]])))
         assert str(classify(t)) == "Z[1/2]"
+
+    @pytest.mark.parametrize("side", ["both", "domain", "codomain"])
+    def test_other_presentation_refused(self, side):
+        # Z^2/<(1,0)> and Z^2/<(0,1)> are both Z, and the matrix is a hom
+        # of the second but not of the first: the tower used to be accepted
+        # and classified to Z
+        g = FgAbGroup(2, IntMatrix.from_rows([[1], [0]]))
+        h = FgAbGroup(2, IntMatrix.from_rows([[0], [1]]))
+        m = IntMatrix.from_rows([[-1, 0], [-1, -1]])
+        with pytest.raises(NotWellDefined):
+            GroupHom(g, g, m)
+        dom, cod = {"both": (h, h), "domain": (h, g),
+                    "codomain": (g, h)}[side]
+        with pytest.raises(ValueError, match="self-map"):
+            TowerGroup(g, GroupHom(dom, cod, m, check=False))
+
+    def test_other_ngens_same_signature_refused(self):
+        # Z^2/<(0,1)> is Z, like Z^1, but has two generators
+        g = FgAbGroup(1)
+        h = FgAbGroup(2, IntMatrix.from_rows([[0], [1]]))
+        assert (g.free_rank, g.torsion) == (h.free_rank, h.torsion)
+        with pytest.raises(ValueError, match="self-map"):
+            TowerGroup(g, GroupHom(h, h, IntMatrix.identity(2)))
 
 
 class TestEventualRestriction:
@@ -226,7 +250,7 @@ class TestSubquotientTower:
         t = tower(2, [[2, 0]], [[3, 0], [0, 2]])
         sub = IntMatrix.from_rows([[1, 2], [0, 0]])
         q = subquotient_tower(t, sub, t.group.rel)
-        assert q.group.signature() == (0, (2,))
+        assert (q.group.free_rank, q.group.torsion) == (0, (2,))
 
     @settings(max_examples=200)
     @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
@@ -252,7 +276,7 @@ class TestLimitLes:
 
     def test_exact_ses(self):
         za, zb, zc, alpha, beta = self._ses()
-        zg = FgAbGroup.trivial()
+        zg = FgAbGroup(0)
         tz = TowerGroup(zg, GroupHom.zero(zg, zg))
         exprs = limit_les(
             [tz, za, zb, zc, tz],
@@ -263,7 +287,7 @@ class TestLimitLes:
 
     def test_broken_ses(self):
         za, zb, zc, alpha, beta = self._ses()
-        zg = FgAbGroup.trivial()
+        zg = FgAbGroup(0)
         tz = TowerGroup(zg, GroupHom.zero(zg, zg))
         with pytest.raises(ExactnessFailure) as exc:
             limit_les(
@@ -277,7 +301,7 @@ class TestLimitLes:
     def test_unpadded_ses_matches_padded(self):
         # the end-node defects stand in for the zero towers at both ends
         za, zb, zc, alpha, beta = self._ses()
-        zg = FgAbGroup.trivial()
+        zg = FgAbGroup(0)
         tz = TowerGroup(zg, GroupHom.zero(zg, zg))
         padded = limit_les(
             [tz, za, zb, zc, tz],
@@ -292,7 +316,7 @@ class TestLimitLes:
         with pytest.raises(ExactnessFailure) as exc:
             limit_les([za, zb, zc], maps, names=["A", "B", "C"])
         assert exc.value.node == "A"
-        zg = FgAbGroup.trivial()
+        zg = FgAbGroup(0)
         tz = TowerGroup(zg, GroupHom.zero(zg, zg))
         with pytest.raises(ExactnessFailure) as padded:
             limit_les([tz, za, zb, zc, tz],
@@ -310,7 +334,7 @@ class TestLimitLes:
         with pytest.raises(ExactnessFailure) as exc:
             limit_les([za, zb, zc5], [alpha, beta], names=["A", "B", "C"])
         assert exc.value.node == "C"
-        zg = FgAbGroup.trivial()
+        zg = FgAbGroup(0)
         tz = TowerGroup(zg, GroupHom.zero(zg, zg))
         with pytest.raises(ExactnessFailure) as padded:
             limit_les([tz, za, zb, zc5, tz],
@@ -335,7 +359,7 @@ class TestLimitLes:
         zab = tower(2, [], [[a, 0], [0, b]])
         alpha = GroupHom(za.group, zab.group, IntMatrix.from_rows([[1], [0]]))
         beta = GroupHom(zab.group, zb.group, IntMatrix.from_rows([[0, 1]]))
-        zg = FgAbGroup.trivial()
+        zg = FgAbGroup(0)
         tz = TowerGroup(zg, GroupHom.zero(zg, zg))
         limit_les([tz, za, zab, zb, tz],
                   [GroupHom.zero(zg, za.group), alpha, beta,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilecohom import complexes, subst1d, subst2d
-from tilecohom.abelian import IntMatrix
+from tilecohom.abelian import IntMatrix, cokernel
 from tilecohom.catalog import (DEFAULT_GRID, PATH_STARTS, PATH_WORDS,
                                catalog_factor_maps)
 from tilecohom.complexes import (_reduce, cohomology, cohomology_tower,
@@ -134,7 +134,8 @@ def test_torsion_survives_reduction():
     h2 = cohomology(c, 2)
     assert h2.torsion == (2,) and h2.free_rank == 0 and h2.ngens == 1
     ident = hom_on_cohomology(IntMatrix.identity(2), h2, h2)
-    assert ident.is_injective() and ident.is_surjective()
+    assert ident.is_injective() and cokernel(
+        ident.matrix.hstack(ident.codomain.rel)).is_trivial()
 
 
 def test_non_cocycle_image_rejected():

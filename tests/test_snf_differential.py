@@ -1,16 +1,19 @@
 """Differential tests: sparse SNF and batched solve against the dense reference.
 
 The sparse elimination keeps the dense pivot rule, so every output must be
-bit-identical, not merely another valid Smith normal form.
+bit-identical, not merely another valid Smith normal form.  The cokernel
+test that replaced `GroupHom.is_surjective` must answer as it did.
 """
 import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snf_reference import dense_snf, dense_solve_matrix, smith_solve_matrix
+from snf_reference import (dense_snf, dense_solve_matrix, is_surjective,
+                           smith_solve_matrix)
 from tilecohom import abelian, subst2d
-from tilecohom.abelian import IntMatrix, kernel_basis, snf, solve, solve_matrix
+from tilecohom.abelian import (FgAbGroup, GroupHom, IntMatrix, cokernel,
+                               kernel_basis, snf, solve, solve_matrix)
 from tilecohom.complexes import _reduce, cohomology
 
 FIELDS = ("U", "D", "V", "Uinv", "Vinv", "invariant_factors")
@@ -39,6 +42,43 @@ matrices = st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
 @given(matrices)
 def test_snf_matches_dense(a):
     assert_same_snf(a)
+
+
+def onto(h):
+    """Is the hom h onto: Z^n modulo its image and the relations is 0?"""
+    return cokernel(h.matrix.hstack(h.codomain.rel)).is_trivial()
+
+
+# codomains with torsion, free parts and no generators; half the matrices
+# carry unit columns, so that both answers occur
+@settings(max_examples=400)
+@given(st.integers(0, 5), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_onto_matches_is_surjective(m, n, r, data):
+    rel = data.draw(shaped(m, r, entries))
+    mat = data.draw(shaped(m, n, entries))
+    if m and data.draw(st.booleans()):
+        units = data.draw(st.lists(st.integers(0, m - 1), max_size=m))
+        mat = mat.hstack(IntMatrix.identity(m).select_columns(units))
+    h = GroupHom(FgAbGroup(mat.cols), cokernel(rel), mat)
+    assert onto(h) == is_surjective(h)
+
+
+@pytest.mark.parametrize("dom, cod, rows, want", [
+    (1, [[0]], [[2]], False),           # Z -> Z by 2
+    (1, [[2]], [[1]], True),            # Z -> Z_2
+    (2, [[6]], [[2, 3]], True),         # Z^2 -> Z_6 by (2, 3)
+    (1, [[4]], [[2]], False),           # Z -> Z_4 by 2
+    (2, [[2, 0], [0, 0]], [[1, 0], [0, 1]], True),
+    (1, [[2, 0], [0, 3]], [[1], [1]], True),    # Z -> Z_2 + Z_3 = Z_6
+    (1, [[2, 0], [0, 2]], [[1], [1]], False),   # Z -> Z_2 + Z_2
+    (0, [[1]], [[]], True),             # 0 -> Z/Z = 0
+    (0, [[0]], [[]], False),            # 0 -> Z
+], ids=["times2", "onto-Z2", "onto-Z6", "into-Z4", "free-and-torsion",
+        "cyclic-Z6", "not-cyclic", "onto-0", "into-Z"])
+def test_onto_examples(dom, cod, rows, want):
+    h = GroupHom(FgAbGroup(dom), cokernel(IntMatrix.from_rows(cod)),
+                 IntMatrix(len(rows), dom, [x for r in rows for x in r]))
+    assert onto(h) is want and is_surjective(h) is want
 
 
 @settings(max_examples=300)
