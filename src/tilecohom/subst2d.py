@@ -492,10 +492,11 @@ def _roots(size, pairs):
 
 def _cells(roots, names, classes):
     """Cell labels (class, side/corner) of the union-find roots, in repr
-    order, and the cell index of every (class, slot) element."""
+    order, the root element of each cell, and the cell index of every
+    (class, slot) element."""
     labels = sorted(set(roots), key=lambda x: (x >> 2, names[x & 3]))
     at = {x: i for i, x in enumerate(labels)}
-    return ([(classes[x >> 2], names[x & 3]) for x in labels],
+    return ([(classes[x >> 2], names[x & 3]) for x in labels], labels,
             [at[x] for x in roots])
 
 
@@ -509,30 +510,20 @@ _ENDS = ((_SW, _SE), (_NW, _NE), (_SW, _NW), (_SE, _NE))
 _CORNER_QUAD = tuple(QUADS.index(q) for q in (Q_SW, Q_SE, Q_NW, Q_NE))
 
 
-def _cell_map(index, image, what, classes, names):
-    """{cell: image(c, slot)} over every (class, slot) element of `index`;
-    the image of a cell must not depend on the representative element."""
-    seen = {}
-    for x, i in enumerate(index):
-        j = image(x >> 2, x & 3)
-        if seen.setdefault(i, j) != j:
-            raise NotWellDefined(f"{what} differs between representatives",
-                                 witness=(classes[x >> 2], names[x & 3]))
-    return seen
-
-
 @functools.lru_cache(maxsize=None)
 def _ap_complex_2d_depth(name: str, r: int):
-    """(complex, self-map, edge index, vertex index) at collar depth r; the
-    indices map each 4 * class + slot to its cell."""
+    """(complex, self-map, edges, vertices) at collar depth r; edges and
+    vertices are (roots, index): the root element 4 * class + slot of each
+    cell, and the cell of each element.  A cell's endpoints and images are
+    read off its root alone."""
     sysd = _collared_system(name, r)
     classes, smap = sysd["classes"], sysd["smap"]
     nc = len(classes)
     hp, vp = sysd["hpairs"], sysd["vpairs"]
-    edges, eix = _cells(_roots(
+    edges, eroots, eix = _cells(_roots(
         4 * nc, [(4 * a + _E, 4 * b + _W) for a, b in hp]
         + [(4 * a + _N, 4 * b + _S) for a, b in vp]), SIDES, classes)
-    verts, vix = _cells(_roots(
+    verts, vroots, vix = _cells(_roots(
         4 * nc, [x for a, b in hp for x in ((4 * a + _SE, 4 * b + _SW),
                                              (4 * a + _NE, 4 * b + _NW))]
         + [x for a, b in vp for x in ((4 * a + _NW, 4 * b + _SW),
@@ -540,13 +531,18 @@ def _ap_complex_2d_depth(name: str, r: int):
         + [(4 * sw + _NE, 4 * x + k) for sw, se, nw, ne in sysd["blocks"]
            for x, k in ((se, _NW), (nw, _SE), (ne, _SW))]), CORNERS, classes)
 
-    d0 = {}
-    for i, (h, t) in _cell_map(
-            eix, lambda c, s: (vix[4 * c + _ENDS[s][1]],
-                               vix[4 * c + _ENDS[s][0]]),
-            "edge endpoints", classes, SIDES).items():
-        d0[i, h] = d0.get((i, h), 0) + 1
-        d0[i, t] = d0.get((i, t), 0) - 1
+    # Every element of a cell gives what its root gives: each edge union
+    # joins the ends of the two edges too, and the children of a legal
+    # contact are legal contacts (_quotient checks that the rule descends).
+    d0, a1 = {}, {}
+    for i, x in enumerate(eroots):
+        c, s = x >> 2, x & 3
+        tail, head = (vix[4 * c + k] for k in _ENDS[s])
+        d0[i, head] = d0.get((i, head), 0) + 1
+        d0[i, tail] = d0.get((i, tail), 0) - 1
+        for k in _ENDS[s]:
+            j = eix[4 * smap[c][_CORNER_QUAD[k]] + s]
+            a1[j, i] = a1.get((j, i), 0) + 1
     d1 = {}
     for c in range(nc):
         for s, sign in ((_S, 1), (_E, 1), (_N, -1), (_W, -1)):
@@ -559,21 +555,13 @@ def _ap_complex_2d_depth(name: str, r: int):
     for c, kids in enumerate(smap):
         for k in kids:
             a2[k, c] = a2.get((k, c), 0) + 1
-    a1 = {}
-    for i, img in _cell_map(
-            eix, lambda c, s: tuple(sorted(
-                eix[4 * smap[c][_CORNER_QUAD[k]] + s] for k in _ENDS[s])),
-            "substitution image of an edge", classes, SIDES).items():
-        for j in img:
-            a1[j, i] = a1.get((j, i), 0) + 1
-    a0 = _cell_map(vix, lambda c, k: vix[4 * smap[c][_CORNER_QUAD[k]] + k],
-                   "substitution image of a vertex", classes, CORNERS)
+    a0 = {(vix[4 * smap[x >> 2][_CORNER_QUAD[x & 3]] + (x & 3)], i): 1
+          for i, x in enumerate(vroots)}
     self_map = CellularMap(cx, cx, [
-        IntMatrix.from_entries(len(verts), len(verts),
-                               {(j, i): 1 for i, j in a0.items()}),
+        IntMatrix.from_entries(len(verts), len(verts), a0),
         IntMatrix.from_entries(len(edges), len(edges), a1),
         IntMatrix.from_entries(nc, nc, a2)])
-    return cx, self_map, eix, vix
+    return cx, self_map, (eroots, eix), (vroots, vix)
 
 
 def ap_complex_2d(name: str, collar: str = "auto"):
@@ -633,21 +621,22 @@ def factor_map_edge(fine: str, coarse: str, collar: str = "forced"):
 def _factor_map_depth(fine: str, coarse: str, r: int):
     """The factor map fine -> coarse at collar depth r."""
     _check_depth(r, fine, coarse)
-    fcx, _, fe, fv = _ap_complex_2d_depth(fine, r)
-    ccx, _, ce, cv = _ap_complex_2d_depth(coarse, r)
-    fsys = _collared_system(fine, r)
-    fclasses = fsys["classes"]
+    fcx, _, (fe, _), (fv, _) = _ap_complex_2d_depth(fine, r)
+    ccx, _, (_, ce), (_, cv) = _ap_complex_2d_depth(coarse, r)
     # the coarse class of each fine class, read off the master windows: the
-    # coarse decoration of a tile is a function of the fine one
-    down = dict(zip(fsys["cls"], _collared_system(coarse, r)["cls"]))
-    m1 = _cell_map(fe, lambda c, s: ce[4 * down[c] + s], "edge image",
-                   fclasses, SIDES)
-    m0 = _cell_map(fv, lambda c, k: cv[4 * down[c] + k], "vertex image",
-                   fclasses, CORNERS)
+    # coarse decoration of a tile is a function of the fine one, and legal
+    # contacts stay legal, so a fine cell's root goes where its elements go
+    down = dict(zip(_collared_system(fine, r)["cls"],
+                    _collared_system(coarse, r)["cls"]))
+
+    def image(roots, index):
+        return {(index[4 * down[x >> 2] + (x & 3)], i): 1
+                for i, x in enumerate(roots)}
+
     return CellularMap(fcx, ccx, [
-        IntMatrix.from_entries(ccx.n_cells(k), fcx.n_cells(k),
-                               {(j, i): 1 for i, j in m.items()})
-        for k, m in enumerate((m0, m1, down))])
+        IntMatrix.from_entries(ccx.n_cells(k), fcx.n_cells(k), m)
+        for k, m in enumerate((image(fv, cv), image(fe, ce),
+                               {(j, i): 1 for i, j in down.items()}))])
 
 
 def path_realizations(space: str, word: str):

@@ -639,3 +639,119 @@ def compose_realization(steps, collar: str = "forced"):
     for m in maps[1:]:
         out = m.compose(out)
     return out
+
+
+# ---- the element-wise cell maps the root elements replaced ----
+#
+# `subst2d._cells`, `_cell_map`, `_ap_complex_2d_depth` and
+# `_factor_map_depth` as they stood when the image of every (class, slot)
+# element was computed and two elements of one cell that disagreed raised
+# NotWellDefined: five checks, on the edge endpoints, the substitution
+# images of edges and vertices, and the factor-map images of edges and
+# vertices.  Verbatim but for the names `element_cells`,
+# `element_complex_2d_depth` and `element_factor_map_depth`, for
+# `subst2d.` before the names this module also defines or that only
+# `subst2d` holds, and for the line breaks that prefix needs.
+
+
+def element_cells(roots, names, classes):
+    """Cell labels (class, side/corner) of the union-find roots, in repr
+    order, and the cell index of every (class, slot) element."""
+    labels = sorted(set(roots), key=lambda x: (x >> 2, names[x & 3]))
+    at = {x: i for i, x in enumerate(labels)}
+    return ([(classes[x >> 2], names[x & 3]) for x in labels],
+            [at[x] for x in roots])
+
+
+def _cell_map(index, image, what, classes, names):
+    """{cell: image(c, slot)} over every (class, slot) element of `index`;
+    the image of a cell must not depend on the representative element."""
+    seen = {}
+    for x, i in enumerate(index):
+        j = image(x >> 2, x & 3)
+        if seen.setdefault(i, j) != j:
+            raise NotWellDefined(f"{what} differs between representatives",
+                                 witness=(classes[x >> 2], names[x & 3]))
+    return seen
+
+
+_S, _N, _W, _E = range(4)
+_SW, _SE, _NW, _NE = range(4)
+
+
+@functools.lru_cache(maxsize=None)
+def element_complex_2d_depth(name: str, r: int):
+    """(complex, self-map, edge index, vertex index) at collar depth r; the
+    indices map each 4 * class + slot to its cell."""
+    sysd = subst2d._collared_system(name, r)
+    classes, smap = sysd["classes"], sysd["smap"]
+    nc = len(classes)
+    hp, vp = sysd["hpairs"], sysd["vpairs"]
+    edges, eix = element_cells(subst2d._roots(
+        4 * nc, [(4 * a + _E, 4 * b + _W) for a, b in hp]
+        + [(4 * a + _N, 4 * b + _S) for a, b in vp]), SIDES, classes)
+    verts, vix = element_cells(subst2d._roots(
+        4 * nc, [x for a, b in hp for x in ((4 * a + _SE, 4 * b + _SW),
+                                             (4 * a + _NE, 4 * b + _NW))]
+        + [x for a, b in vp for x in ((4 * a + _NW, 4 * b + _SW),
+                                      (4 * a + _NE, 4 * b + _SE))]
+        + [(4 * sw + _NE, 4 * x + k) for sw, se, nw, ne in sysd["blocks"]
+           for x, k in ((se, _NW), (nw, _SE), (ne, _SW))]), CORNERS, classes)
+
+    d0 = {}
+    for i, (h, t) in _cell_map(
+            eix, lambda c, s: (vix[4 * c + subst2d._ENDS[s][1]],
+                               vix[4 * c + subst2d._ENDS[s][0]]),
+            "edge endpoints", classes, SIDES).items():
+        d0[i, h] = d0.get((i, h), 0) + 1
+        d0[i, t] = d0.get((i, t), 0) - 1
+    d1 = {}
+    for c in range(nc):
+        for s, sign in ((_S, 1), (_E, 1), (_N, -1), (_W, -1)):
+            d1[c, eix[4 * c + s]] = d1.get((c, eix[4 * c + s]), 0) + sign
+    cx = CochainComplex([verts, edges, classes],
+                        [IntMatrix.from_entries(len(edges), len(verts), d0),
+                         IntMatrix.from_entries(nc, len(edges), d1)])
+
+    a2 = {}
+    for c, kids in enumerate(smap):
+        for k in kids:
+            a2[k, c] = a2.get((k, c), 0) + 1
+    a1 = {}
+    for i, img in _cell_map(
+            eix, lambda c, s: tuple(sorted(
+                eix[4 * smap[c][subst2d._CORNER_QUAD[k]] + s]
+                for k in subst2d._ENDS[s])),
+            "substitution image of an edge", classes, SIDES).items():
+        for j in img:
+            a1[j, i] = a1.get((j, i), 0) + 1
+    a0 = _cell_map(
+        vix, lambda c, k: vix[4 * smap[c][subst2d._CORNER_QUAD[k]] + k],
+        "substitution image of a vertex", classes, CORNERS)
+    self_map = CellularMap(cx, cx, [
+        IntMatrix.from_entries(len(verts), len(verts),
+                               {(j, i): 1 for i, j in a0.items()}),
+        IntMatrix.from_entries(len(edges), len(edges), a1),
+        IntMatrix.from_entries(nc, nc, a2)])
+    return cx, self_map, eix, vix
+
+
+@functools.lru_cache(maxsize=None)
+def element_factor_map_depth(fine: str, coarse: str, r: int):
+    """The factor map fine -> coarse at collar depth r."""
+    subst2d._check_depth(r, fine, coarse)
+    fcx, _, fe, fv = element_complex_2d_depth(fine, r)
+    ccx, _, ce, cv = element_complex_2d_depth(coarse, r)
+    fsys = subst2d._collared_system(fine, r)
+    fclasses = fsys["classes"]
+    # the coarse class of each fine class, read off the master windows: the
+    # coarse decoration of a tile is a function of the fine one
+    down = dict(zip(fsys["cls"], subst2d._collared_system(coarse, r)["cls"]))
+    m1 = _cell_map(fe, lambda c, s: ce[4 * down[c] + s], "edge image",
+                   fclasses, SIDES)
+    m0 = _cell_map(fv, lambda c, k: cv[4 * down[c] + k], "vertex image",
+                   fclasses, CORNERS)
+    return CellularMap(fcx, ccx, [
+        IntMatrix.from_entries(ccx.n_cells(k), fcx.n_cells(k),
+                               {(j, i): 1 for i, j in m.items()})
+        for k, m in enumerate((m0, m1, down))])
