@@ -413,6 +413,16 @@ def _quotient_cohomology_tower(qc: QuotientComplex, self_x: CellularMap,
     return TowerGroup(h, _induced(h, h, qc.proj[k] * z))
 
 
+def _require_intertwining(f: CellularMap, self_x: CellularMap,
+                          self_y: CellularMap):
+    """Raise NotACochainMap unless f self_x = self_y f at chain level."""
+    # above y's dimension there are no target cells to intertwine
+    for k in range(min(f.source.dimension, f.target.dimension) + 1):
+        if f.chain[k] * self_x.chain[k] != self_y.chain[k] * f.chain[k]:
+            raise NotACochainMap(
+                f"factor map does not intertwine the self-maps at degree {k}")
+
+
 def les_quotient(f: CellularMap, self_x: CellularMap, self_y: CellularMap):
     """Long exact sequence of the quotient in the limit.
 
@@ -420,12 +430,8 @@ def les_quotient(f: CellularMap, self_x: CellularMap, self_y: CellularMap):
     list of nodes checked; raises ExactnessFailure/NotACochainMap on any
     defect.  The self-maps must intertwine with f (checked at chain level).
     """
+    _require_intertwining(f, self_x, self_y)
     x, y = f.source, f.target
-    # above y's dimension there are no target cells to intertwine
-    for k in range(min(x.dimension, y.dimension) + 1):
-        if f.chain[k] * self_x.chain[k] != self_y.chain[k] * f.chain[k]:
-            raise NotACochainMap(
-                f"factor map does not intertwine the self-maps at degree {k}")
     qc = quotient_complex(f)
     towers, maps, names = [], [], []
     for k in range(x.dimension + 1):
@@ -461,8 +467,10 @@ def lemma1_shortcut(f: CellularMap, self_x: CellularMap, self_y: CellularMap,
 
     Valid when H^{n+1}(Y) vanishes in the limit: then H^0_Q = 0 iff the
     pullback on H^1 is injective in the limit (the stage is tried first),
-    and H^n_Q is the cokernel of the pullback on H^n.
+    and H^n_Q is the cokernel of the pullback on H^n.  The self-maps must
+    intertwine with f, as for les_quotient.
     """
+    _require_intertwining(f, self_x, self_y)
     x, y = f.source, f.target
     if n is None:
         n = x.dimension

@@ -64,7 +64,6 @@ class Substitution1D:
             raise NotPrimitive(f"substitution on {self.alphabet} is not primitive")
 
 
-@functools.lru_cache(maxsize=None)
 def tm_substitution(k: int, l: int) -> Substitution1D:
     """1 -> 1^k 1b^l,  1b -> 1b^k 1^l."""
     if k < 1 or l < 1:
@@ -73,7 +72,6 @@ def tm_substitution(k: int, l: int) -> Substitution1D:
                                         "1b": ("1b",) * k + ("1",) * l})
 
 
-@functools.lru_cache(maxsize=None)
 def pd_substitution(k: int, l: int) -> Substitution1D:
     """a -> b^{k-1} a b^{l-1} b,  b -> b^{k-1} a b^{l-1} a."""
     if k < 1 or l < 1:
@@ -82,7 +80,6 @@ def pd_substitution(k: int, l: int) -> Substitution1D:
     return Substitution1D(("a", "b"), {"a": core + ("b",), "b": core + ("a",)})
 
 
-@functools.lru_cache(maxsize=None)
 def solenoid_substitution(m: int) -> Substitution1D:
     """s -> s^m."""
     if m < 2:
@@ -198,18 +195,18 @@ def ap_complex_1d(s: Substitution1D, depth: int = 1):
 
 
 @functools.lru_cache(maxsize=None)
-def tm_system(k, l, depth=1):
-    return ap_complex_1d(tm_substitution(k, l), depth)
+def tm_system(k, l):
+    return ap_complex_1d(tm_substitution(k, l), PHI_SOURCE_DEPTH)
 
 
 @functools.lru_cache(maxsize=None)
-def pd_system(k, l, depth=1):
-    return ap_complex_1d(pd_substitution(k, l), depth)
+def pd_system(k, l):
+    return ap_complex_1d(pd_substitution(k, l), 1)
 
 
 @functools.lru_cache(maxsize=None)
-def sol_system(m, depth=0):
-    return ap_complex_1d(solenoid_substitution(m), depth)
+def sol_system(m):
+    return ap_complex_1d(solenoid_substitution(m), 0)
 
 
 PHI_SOURCE_DEPTH = 2  # two-block code with anticipation 1 needs this much collar
@@ -227,7 +224,6 @@ def _collapse(word):
     return ("s",) * (len(word) % 2)   # the solenoid's one vertex or edge
 
 
-@functools.lru_cache(maxsize=None)
 def factor_map_phi(k: int, l: int) -> CellularMap:
     """Two-block code from the mirror system onto its period-doubling factor.
 
@@ -237,22 +233,19 @@ def factor_map_phi(k: int, l: int) -> CellularMap:
     vertex to be a 4-word, and a depth-1 source would not determine it.
     """
     # a cell's first letter is collar that its image does not read
-    return _letter_code(tm_system(k, l, PHI_SOURCE_DEPTH), pd_system(k, l, 1),
+    return _letter_code(tm_system(k, l), pd_system(k, l),
                         lambda w: tuple("a" if x != y else "b"
                                         for x, y in zip(w[1:], w[2:])))
 
 
-@functools.lru_cache(maxsize=None)
 def factor_map_psi(k: int, l: int) -> CellularMap:
     """Letter collapse from the period-doubling complex onto the solenoid."""
-    return _letter_code(pd_system(k, l, 1), sol_system(k + l, 0), _collapse)
+    return _letter_code(pd_system(k, l), sol_system(k + l), _collapse)
 
 
-@functools.lru_cache(maxsize=None)
 def factor_map_psi_phi(k: int, l: int) -> CellularMap:
     """psi after phi: the letter collapse of the mirror complex."""
-    return _letter_code(tm_system(k, l, PHI_SOURCE_DEPTH),
-                        sol_system(k + l, 0), _collapse)
+    return _letter_code(tm_system(k, l), sol_system(k + l), _collapse)
 
 
 # the longest rule image a 1-D name may ask for, in letters: k + l for
@@ -300,11 +293,9 @@ def system_1d(name):
     at 1, sol at 0).  The depth does not change the limit (Anderson-Putnam,
     ETDS 18)."""
     family, params = _space_1d(name)
-    if family == "tm":
-        return tm_system(*params, PHI_SOURCE_DEPTH)
-    if family == "pd":
-        return pd_system(*params, 1)
-    return sol_system(*params, 0)
+    # built per call, so that it reads the module's current bindings
+    return {"tm": tm_system, "pd": pd_system, "sol": sol_system}[family](
+        *params)
 
 
 def factor_map_1d(source: str, target: str):
@@ -346,8 +337,7 @@ def verify_times2_ses(k: int, l: int):
     phi = factor_map_phi(k, l)
     psi = factor_map_psi(k, l)
     psiphi = factor_map_psi_phi(k, l)
-    _, s_tm = system_1d(f"tm:{k},{l}")
-    _, s_pd = system_1d(f"pd:{k},{l}")
+    s_tm, s_pd = tm_system(k, l)[1], pd_system(k, l)[1]
     qc1, t1 = _quotient_tower(psi, s_pd, 1)
     qc2, t2 = _quotient_tower(psiphi, s_tm, 1)
     qc3, t3 = _quotient_tower(phi, s_tm, 1)

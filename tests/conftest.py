@@ -8,9 +8,7 @@ from tilecohom import catalog, complexes, limits, subst1d, subst2d
 # parsed 1-D names, substitutions, complexes, cellular maps, descended rules,
 # master windows, border-forcing answers and the golden table
 COMPLEX_AND_MAP_CACHES = (
-    (subst1d, ("tm_substitution", "pd_substitution", "solenoid_substitution",
-               "tm_system", "pd_system", "sol_system", "factor_map_phi",
-               "factor_map_psi", "factor_map_psi_phi", "_space_1d")),
+    (subst1d, ("tm_system", "pd_system", "sol_system", "_space_1d")),
     (subst2d, ("master_system", "_master_index", "_collared_system",
                "_tile_descends", "_ap_complex_2d_depth", "_factor_map_depth",
                "_named_rule", "_named_border_forcing")),

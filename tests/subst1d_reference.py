@@ -95,8 +95,8 @@ def factor_map_phi(k: int, l: int) -> CellularMap:
     positions i and i+1, so an image vertex (a 2-word) needs the source
     vertex to be a 4-word, and a depth-1 source would not determine it.
     """
-    src, _ = tm_system(k, l, PHI_SOURCE_DEPTH)
-    dst, _ = pd_system(k, l, 1)
+    src, _ = tm_system(k, l)
+    dst, _ = pd_system(k, l)
     r = PHI_SOURCE_DEPTH
 
     def code(word, i):
@@ -114,8 +114,8 @@ def factor_map_phi(k: int, l: int) -> CellularMap:
 
 def factor_map_psi(k: int, l: int) -> CellularMap:
     """Letter collapse from the period-doubling complex onto the solenoid."""
-    src, _ = pd_system(k, l, 1)
-    dst, _ = sol_system(k + l, 0)
+    src, _ = pd_system(k, l)
+    dst, _ = sol_system(k + l)
     assign = [{v: [(1, ())] for v in src.cells[0]},
               {e: [(1, ("s",))] for e in src.cells[1]}]
     return CellularMap.from_assignment(src, dst, assign)

@@ -29,7 +29,7 @@ from tilecohom.limits import GroupExpr, TowerGroup, classify, iso_check, \
 from tilecohom.subst1d import (Substitution1D, _quotient_tower,
                                ap_complex_1d, factor_map_phi, factor_map_psi,
                                factor_map_psi_phi, pd_system, tm_system,
-                               verify_times2_ses, PHI_SOURCE_DEPTH)
+                               verify_times2_ses)
 from tilecohom.subst2d import (compose_realization, descend_rule,
                                lattice_edges, path_realizations)
 from tilecohom import subst2d
@@ -317,8 +317,8 @@ def test_omitted_times2_map_breaks_exactness():
     k, l = 1, 1
     phi, psi, psiphi = (factor_map_phi(k, l), factor_map_psi(k, l),
                         factor_map_psi_phi(k, l))
-    _, s_tm = tm_system(k, l, PHI_SOURCE_DEPTH)
-    _, s_pd = pd_system(k, l, 1)
+    _, s_tm = tm_system(k, l)
+    _, s_pd = pd_system(k, l)
     _, t1 = _quotient_tower(psi, s_pd, 1)
     qc2, t2 = _quotient_tower(psiphi, s_tm, 1)
     qc3, t3 = _quotient_tower(phi, s_tm, 1)

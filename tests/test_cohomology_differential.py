@@ -23,6 +23,10 @@ from tilecohom.complexes import (CochainComplex, _express, cohomology,
                                  quotient_complex)
 
 CHAIRS = list(subst2d.SCHEME_NAMES)
+# each system's rule, which ap_complex_1d builds at both depths
+RULES = {"tm_system": subst1d.tm_substitution,
+         "pd_system": subst1d.pd_substitution,
+         "sol_system": subst1d.solenoid_substitution}
 SYSTEMS_1D = [(system, params, depth) for k, l in DEFAULT_GRID
               for system, params, depths in (
                   ("tm_system", (k, l), (1, subst1d.PHI_SOURCE_DEPTH)),
@@ -55,7 +59,8 @@ def test_chair_complex(scheme):
 
 @pytest.mark.parametrize("system,params,depth", SYSTEMS_1D)
 def test_1d_system(system, params, depth):
-    check_against_reference(getattr(subst1d, system)(*params, depth)[0])
+    check_against_reference(
+        subst1d.ap_complex_1d(RULES[system](*params), depth)[0])
 
 
 @pytest.mark.parametrize("key", MAP_KEYS)
@@ -93,7 +98,7 @@ def test_two_smith_forms_and_no_solve(monkeypatch, cold_caches):
     """A cold cohomology(c, k) decomposes at most two non-diagonal
     matrices, and _express solves nothing."""
     cxs = [subst2d.ap_complex_2d("X,+", "forced")[0],
-           subst1d.tm_system(3, 2, subst1d.PHI_SOURCE_DEPTH)[0],
+           subst1d.tm_system(3, 2)[0],
            quotient_of("chair:X,+->chair:/,+"), quotient_of("tm:3,2->pd:3,2")]
     decomposed, uncached_snf = [], abelian.snf.__wrapped__
 

@@ -14,6 +14,7 @@ import pytest
 
 import subst2d_reference as ref
 from tilecohom import subst1d
+from tilecohom.catalog import compute_quotient, compute_space
 from tilecohom.errors import NotWellDefined
 from tilecohom.subst1d import Substitution1D, legal_words, tm_substitution
 from tilecohom.subst2d import (QUADS, SCHEME_NAMES, Substitution2D,
@@ -124,15 +125,21 @@ def test_1d_pairs_closed_once_per_substitution(monkeypatch):
 
 
 @pytest.mark.usefixtures("cold_caches")
-def test_depths_of_one_rule_close_once(monkeypatch):
+def test_one_pair_closes_each_rule_once(monkeypatch):
+    # the tm space, its two quotients, pd -> sol and the times-2 sequence
+    # read each rule's one complex, built from one fresh substitution
     closures = []
     original = subst1d._legal_patches
 
     def counting(s, tiles, image_windows, stretch, n):
-        closures.append(s._pairs is None)
+        closures.append((s.alphabet, s._pairs is None))
         return original(s, tiles, image_windows, stretch, n)
 
     monkeypatch.setattr(subst1d, "_legal_patches", counting)
-    subst1d.tm_system(4, 3, 1)
-    subst1d.tm_system(4, 3, 2)
-    assert closures == [True, False]
+    compute_space("tm:4,3")
+    compute_quotient("tm:4,3", "pd:4,3")
+    compute_quotient("tm:4,3", "sol:7")
+    compute_quotient("pd:4,3", "sol:7")
+    subst1d.verify_times2_ses(4, 3)
+    assert sorted(closures) == [(("1", "1b"), True), (("a", "b"), True),
+                                (("s",), True)]

@@ -41,8 +41,11 @@ n <= 3 on `tm` and `pd` with k, l <= 12 and on `sol:2..24`, with ints
 only.  It sees the self-maps' cochain matrices (collars, legal words and
 the substitution images of cells) against the rule, but only through
 one alternating sum per power: not how it splits between H^0 and H^1,
-and nothing of the cohomology groups or of the factor maps.
+and nothing of the cohomology groups or of the factor maps.  The 2-D
+count, on the nine chair complexes, is derived at
+`test_fixed_points_of_the_chair_substitutions`.
 """
+import functools
 from fractions import Fraction
 
 import pytest
@@ -53,7 +56,8 @@ from tilecohom import catalog, subst1d, subst2d
 from tilecohom.catalog import PATH_STARTS, PATH_WORDS
 from tilecohom.complexes import (_quotient_cohomology_tower, cohomology_tower,
                                  quotient_complex)
-from tilecohom.subst2d import SCHEME_NAMES
+from tilecohom.subst2d import (MASTER_TILES, QUADS, SCHEME_NAMES, decorate,
+                               master_rule)
 
 POWERS = 4
 ONE_D = ([f"{fam}:{k},{l}" for fam in ("tm", "pd")
@@ -62,9 +66,9 @@ ONE_D = ([f"{fam}:{k},{l}" for fam in ("tm", "pd")
 MAP_GRID = tuple((k, l) for k in range(1, 5) for l in range(1, 5))
 
 
-def _traces(rows):
-    """[tr(A^n) for n = 1..POWERS] of a matrix given by dense rows."""
-    a = [{j: x for j, x in enumerate(row) if x} for row in rows]
+def _traces(a):
+    """[tr(A^n) for n = 1..POWERS] of a matrix given by its rows as
+    {column: nonzero entry} dicts."""
     power, out = a, []
     for n in range(POWERS):
         if n:
@@ -97,6 +101,10 @@ def _echelon(vectors):
     return basis
 
 
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def _tower_traces(endo, rel):
     """tr(E^n on Q^ngens / span_Q(rel)) for n = 1..POWERS, or None when E
     does not keep span_Q(rel)."""
@@ -110,7 +118,8 @@ def _tower_traces(endo, rel):
             return None
         for i, c in enumerate(coords):
             restricted[i][j] = c
-    return [x - y for x, y in zip(_traces(endo), _traces(restricted))]
+    return [x - y for x, y in zip(_traces(_sparse(endo)),
+                                  _traces(_sparse(restricted)))]
 
 
 def _alternating(per_degree):
@@ -130,7 +139,7 @@ def _lefschetz(towers):
 
 
 def _cochain_lefschetz(self_map):
-    return _alternating([_traces(m.to_rows()) for m in self_map.cochain])
+    return _alternating([_traces(m.sparse_rows) for m in self_map.cochain])
 
 
 def _space(name):
@@ -300,3 +309,161 @@ def test_fixed_point_count_needs_its_interior_positions():
     # the same count without the tile-centred fixed points fails the check
     for name in ("tm:2,1", "pd:3,2", "sol:3"):
         assert _minus_lefschetz(name) != _fixed_tilings(_rule(name), False)
+
+
+# ---- fixed points of the substitution homeomorphism (2-D) ----
+
+CHAIR_POWERS = 3
+MASTER = {t: master_rule(t) for t in MASTER_TILES}
+
+
+def _inflate(square, rule):
+    """The inflation of a patch {(x, y): tile}, y pointing north."""
+    return {(2 * x + qx, 2 * y + qy): child for (x, y), t in square.items()
+            for (qx, qy), child in rule[t].items()}
+
+
+def _windows(square, side, m):
+    """The m x m windows of a side x side patch, each as a patch."""
+    return [{(i, j): square[x + i, y + j] for i in range(m) for j in range(m)}
+            for x in range(side - m + 1) for y in range(side - m + 1)]
+
+
+def _frozen(square):
+    return tuple(sorted(square.items()))
+
+
+def _master_windows():
+    """The legal 3 x 3 and 4 x 4 master windows.  A legal m-square lies in
+    the inflation of a legal square of side m // 2 + 1 (of a tile, for a
+    2-square), so the 2-squares close under inflation from the tiles and
+    the 3- and 4-squares are windows of the inflated 2- and 3-squares."""
+    def grow(squares, side, m):
+        return {_frozen(w) for s in squares
+                for w in _windows(_inflate(dict(s), MASTER), 2 * side, m)}
+
+    two = grow([(((0, 0), t),) for t in MASTER_TILES], 1, 2)
+    frontier = two
+    while frontier:
+        frontier = grow(frontier, 2, 2) - two
+        two |= frontier
+    three = grow(two, 2, 3)
+    return three, grow(three, 3, 4)
+
+
+MASTER_3, MASTER_4 = _master_windows()
+
+
+@functools.cache
+def _collared(name):
+    """The scheme's once-collared tiles, as (rule, legal 2 x 2 blocks): a
+    collared tile is the q-image of a legal 3 x 3 master window, keyed by
+    its patch, and a block is (SW, SE, NW, NE)."""
+    q = decorate(name)
+
+    def collar(square, x, y):
+        return tuple(q(square[x + i, y + j])
+                     for j in (-1, 0, 1) for i in (-1, 0, 1))
+
+    rule = {}
+    for w in MASTER_3:
+        kids = _inflate(dict(w), MASTER)
+        rule[collar(dict(w), 1, 1)] = {
+            quad: collar(kids, 2 + quad[0], 2 + quad[1]) for quad in QUADS}
+    blocks = {tuple(collar(dict(w), x, y) for y in (1, 2) for x in (1, 2))
+              for w in MASTER_4}
+    return rule, blocks
+
+
+def _fixed_chairs(name, edges=True, vertices=True):
+    """[number of tilings fixed by omega^n for n = 1..CHAIR_POWERS], from
+    the master rule and the scheme's coarsening alone (see
+    test_fixed_points_of_the_chair_substitutions)."""
+    rule, blocks = _collared(name)
+    power, out = {c: {(0, 0): c} for c in rule}, []
+    for n in range(1, CHAIR_POWERS + 1):
+        power = {c: _inflate(p, rule) for c, p in power.items()}
+        top, inner = 2 ** n - 1, range(1, 2 ** n - 1)
+        count = sum(p[x, y] == c for c, p in power.items()
+                    for x in inner for y in inner)
+        if edges:
+            count += sum(power[a][top, i] == a and power[b][0, i] == b
+                         for a, b in {(sw, se) for sw, se, _, _ in blocks}
+                         for i in inner)
+            count += sum(power[a][i, top] == a and power[b][i, 0] == b
+                         for a, b in {(sw, nw) for sw, _, nw, _ in blocks}
+                         for i in inner)
+        if vertices:
+            count += sum(power[sw][top, top] == sw and power[se][0, top] == se
+                         and power[nw][top, 0] == nw and power[ne][0, 0] == ne
+                         for sw, se, nw, ne in blocks)
+        out.append(count)
+    return out
+
+
+def _chair_lefschetz(name, depth):
+    """[L(f^n) for n = 1..CHAIR_POWERS] of the scheme's complex at a collar
+    depth; only depth 1 has a public policy ("forced")."""
+    sm = (subst2d.ap_complex_2d(name, "forced") if depth == 1
+          else subst2d._ap_complex_2d_depth(name, depth))[1]
+    return _cochain_lefschetz(sm)[:CHAIR_POWERS]
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_fixed_points_of_the_chair_substitutions(name):
+    """L(f^n) of the collared chair complexes counts the tilings that
+    omega^n fixes (Anderson-Putnam, ETDS 18, 1998), and the count needs
+    only the rule.
+
+    A fixed point of omega^n, which inflates the plane by 2^n about the
+    origin, has index sign det(I - 2^n I) = +1 in 2-D (-1 in 1-D, hence
+    the -L there), so L(f^n) is the number of fixed tilings.  The count
+    runs on once-collared tiles: the q-images of legal 3 x 3 master
+    windows, on which the rule of every scheme descends, and whose tiling
+    space is conjugate to the scheme's.  Every tiling is a translate of a
+    square grid, so a fixed tiling is fixed by where the origin sits:
+
+    - inside a tile c at position x + [0, 1]^2: c sits at some position j
+      of sigma^n(c), so x = 2^n x + j, x = -j / (2^n - 1), and the origin
+      is inside exactly when 1 <= j_x, j_y <= 2^n - 2; each such j with
+      sigma^n(c)[j] = c gives one;
+    - inside an edge between a legal domino a|b: the edge lies on x = 0
+      and its row on y = -j / (2^n - 1), 1 <= j <= 2^n - 2, with a at the
+      east border of sigma^n(a) and b at the west border of sigma^n(b) in
+      row j; vertical dominoes count the same way;
+    - at a vertex: each legal 2 x 2 block whose four tiles sit at the
+      facing corners of their own n-supertiles gives one.
+
+    Each gives one tiling, the union of the nested supertiles about the
+    origin.  The check runs for n <= 3 on the nine schemes at collar
+    depths 1 and 2; depth 2 is reached through
+    `subst2d._ap_complex_2d_depth`, as is the depth-0 complex of the
+    mutation below.  It sees the self-maps' cochain matrices (collars,
+    legal contacts and the substitution images of cells) against the
+    rule, but only through one alternating sum per power: not how it
+    splits between degrees, and nothing of the factor maps beyond
+    L(Q) = L(X) - L(Y).  Nor does it see two cells whose images are
+    swapped, as traces read only the cells that map to themselves."""
+    count = _fixed_chairs(name)
+    for depth in (1, 2):
+        assert _chair_lefschetz(name, depth) == count, depth
+
+
+def test_chair_fixed_point_counts():
+    # reference values: 4^n + 1 on X,0, (2^n - 1)^2 on the one-tile 0,0
+    assert _fixed_chairs("X,0") == [5, 17, 65]
+    assert _fixed_chairs("0,0") == [1, 9, 49]
+
+
+@pytest.mark.parametrize("term", ["edges", "vertices"])
+def test_chair_count_needs_its_edges_and_vertices(term):
+    # the count without one of its terms fails the check on every scheme
+    for name in SCHEME_NAMES:
+        assert _chair_lefschetz(name, 1) != _fixed_chairs(name, **{term: False})
+
+
+def test_uncollared_chair_complex_fails():
+    # X,+ does not force its border: its depth-0 complex has the wrong
+    # Lefschetz numbers
+    assert _fixed_chairs("X,+") == [8, 24, 80]
+    assert _chair_lefschetz("X,+", 0) == [10, 26, 82]

@@ -44,7 +44,8 @@ def run_grid():
             compute_quotient(fine, coarse)
         # and the depth-1 tm towers, which no catalog query builds
         for d in (0, 1):
-            classify(cohomology_tower(*subst1d.tm_system(k, l, 1), d))
+            classify(cohomology_tower(
+                *subst1d.ap_complex_1d(subst1d.tm_substitution(k, l), 1), d))
 
 
 @pytest.mark.usefixtures("cold_caches")

@@ -34,7 +34,9 @@ def torsion_complex(names):
 @pytest.mark.usefixtures("cold_caches")
 class TestComplexStore:
     def test_equal_complexes_share_cohomology(self):
-        (a, sa), (b, sb) = subst1d.tm_system(5, 7), subst1d.tm_system(9, 11)
+        (a, sa), (b, sb) = (
+            subst1d.ap_complex_1d(subst1d.tm_substitution(k, l), 1)
+            for k, l in ((5, 7), (9, 11)))
         assert a is not b and sa is not sb
         assert cohomology(a, 1) is cohomology(b, 1)
         assert _reduce(a) is _reduce(b)

@@ -12,8 +12,8 @@ from tilecohom.limits import classify, iso_check
 from tilecohom.subst1d import (MAX_IMAGE, PHI_SOURCE_DEPTH, Substitution1D,
                                absolute_cohomology_1d, ap_complex_1d,
                                factor_map_1d, factor_map_phi,
-                               legal_words, pd_substitution,
-                               quotient_cohomology_1d,
+                               legal_words, pd_substitution, pd_system,
+                               quotient_cohomology_1d, sol_system,
                                solenoid_substitution, tm_substitution,
                                tm_system, verify_times2_ses)
 
@@ -184,8 +184,8 @@ class TestComplexes:
         """The space query reads the depth-2 complex; its classified groups
         are those of the depth-1 complex it replaced, an unclassified
         verdict included."""
-        depth_1 = [classify(cohomology_tower(*tm_system(*kl, 1), k))
-                   for k in (0, 1)]
+        depth_1 = [classify(cohomology_tower(
+            *ap_complex_1d(tm_substitution(*kl), 1), k)) for k in (0, 1)]
         assert list(map(str, absolute_cohomology_1d(f"tm:{kl[0]},{kl[1]}"))) \
             == list(map(str, depth_1))
 
@@ -198,8 +198,24 @@ class TestComplexes:
         compute_quotient(tm, sol)
         info = tm_system.cache_info()
         assert info.currsize == 1
-        tm_system(5, 3, PHI_SOURCE_DEPTH)
+        tm_system(5, 3)
         assert tm_system.cache_info().misses == info.misses
+
+    @pytest.mark.parametrize("kl", GRID + ((5, 3), (2, 7)))
+    def test_each_family_builds_at_its_depth(self, kl):
+        """tm is built at the two-block code's depth 2, pd at 1 and sol at
+        0: the cells, coboundaries and self-map chains of ap_complex_1d at
+        those depths."""
+        k, l = kl
+        for (cx, sm), rule, depth in (
+                (tm_system(k, l), tm_substitution(k, l), 2),
+                (pd_system(k, l), pd_substitution(k, l), 1),
+                (sol_system(k + l), solenoid_substitution(k + l), 0)):
+            want_cx, want_sm = ap_complex_1d(rule, depth)
+            assert cx.cells == want_cx.cells
+            assert [cx.coboundary(i) for i in range(cx.dimension)] == \
+                [want_cx.coboundary(i) for i in range(want_cx.dimension)]
+            assert sm.chain == want_sm.chain
 
     @pytest.mark.parametrize("family", [tm_substitution, pd_substitution])
     @pytest.mark.parametrize("r", [1, 2])

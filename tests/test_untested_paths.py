@@ -4,20 +4,27 @@
 no test executes.  Each case here runs one of them: an input the package
 must refuse with a typed error and a fixed message, or a result path (the
 hash of a group expression, an unclassified degree in the JSON document,
-a failing `verify` row, a failed Lemma 1 hypothesis).
+a failing `verify` row, a failed Lemma 1 hypothesis, Lemma 1 onto a
+point, a limit without integer eigenvalues, the reprs and a timed-out
+query).
 """
 import json
+import signal
+import time
 
 import pytest
 
 from tilecohom import catalog, cli, subst2d
 from tilecohom.abelian import FgAbGroup, GroupHom, IntMatrix
 from tilecohom.catalog import verify_all
-from tilecohom.complexes import CellularMap, CochainComplex, lemma1_shortcut
-from tilecohom.errors import (HypothesisFailed, InvalidPath, NotPrimitive,
-                              NotWellDefined, Unclassified)
-from tilecohom.limits import GroupExpr, limit_les
-from tilecohom.subst1d import legal_words, pd_substitution, tm_substitution
+from tilecohom.complexes import (CellularMap, CochainComplex,
+                                 lemma1_shortcut, les_quotient)
+from tilecohom.errors import (HypothesisFailed, InvalidPath, NotACochainMap,
+                              NotPrimitive, NotWellDefined, Unclassified)
+from tilecohom.limits import GroupExpr, TowerGroup, classify, limit_les, \
+    verify_split
+from tilecohom.subst1d import (factor_map_1d, legal_words, pd_substitution,
+                               system_1d, tm_substitution)
 from tilecohom.subst2d import QUADS, Substitution2D
 
 POINT = CochainComplex([["v"]], [])
@@ -142,3 +149,73 @@ def test_lemma1_hypothesis_fails_where_target_h2_survives():
     with pytest.raises(HypothesisFailed) as e:
         lemma1_shortcut(f, sx, sy, n=1)
     assert str(e.value) == "H^2 of the target does not vanish in the limit"
+
+
+@pytest.mark.parametrize("kl", ["1,1", "2,1", "2,2"])
+def test_lemma1_refuses_self_maps_that_do_not_intertwine(kl):
+    # the identity on pd:k,l does not commute with phi and the tm self-map;
+    # Lemma 1 used to answer H^0_Q != 0 for it
+    f, sx, _ = factor_map_1d(f"tm:{kl}", f"pd:{kl}")
+    sy = CellularMap.identity(f.target)
+    for run in (les_quotient, lemma1_shortcut):
+        with pytest.raises(NotACochainMap) as e:
+            run(f, sx, sy)
+        assert str(e.value) == \
+            "factor map does not intertwine the self-maps at degree 0"
+
+
+@pytest.mark.parametrize("name,top", [("sol:2", "Z[1/2]"),
+                                      ("tm:2,1", "Z[1/3] + Z^2")])
+def test_lemma1_onto_a_point(name, top):
+    # the target has no H^1 and no H^n: both groups come from the source
+    cx, sx = system_1d(name)
+    f = CellularMap.from_assignment(cx, POINT, [
+        {v: [(1, "v")] for v in cx.cells[0]}])
+    sy = CellularMap.identity(POINT)
+    h0q_zero, got = lemma1_shortcut(f, sx, sy)
+    q = les_quotient(f, sx, sy)["Q"]
+    assert h0q_zero and q[0].is_zero()
+    assert str(got) == top and got == q[-1]
+
+
+def test_no_integer_eigenvalues_is_unclassified():
+    z2 = FgAbGroup(2)
+    t = TowerGroup(z2, GroupHom(z2, z2, IntMatrix.from_rows([[1, 1],
+                                                             [1, 0]])))
+    e = classify(t)
+    assert e.unclassified is t
+
+
+def test_split_without_torsion_is_true():
+    assert verify_split(TowerGroup(Z, GroupHom(Z, Z,
+                                               IntMatrix.from_rows([[2]]))))
+
+
+def test_reprs():
+    z2 = FgAbGroup(1, IntMatrix.from_rows([[2]]))
+    assert repr(z2) == "FgAbGroup(free_rank=0, torsion=[2])"
+    assert repr(INTERVAL) == "CochainComplex(cells=2/1)"
+    assert repr(CellularMap.identity(POINT)) == \
+        "CellularMap(CochainComplex(cells=1) -> CochainComplex(cells=1))"
+    assert repr(GroupExpr.parse("Z[1/2] + Z")) == "GroupExpr(Z[1/2] + Z)"
+    assert repr(TowerGroup(Z, GroupHom(Z, Z, IntMatrix.identity(1)))) == \
+        "TowerGroup(FgAbGroup(free_rank=1, torsion=[]))"
+
+
+def test_group_expr_is_not_equal_to_an_int():
+    assert GroupExpr.zero().__eq__(0) is NotImplemented
+    assert (GroupExpr.zero() == 0) is False
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+def test_timeout_ends_the_query(capsys, monkeypatch):
+    def compute_space(name, collar="auto"):
+        time.sleep(2)
+    monkeypatch.setattr(catalog, "compute_space", compute_space)
+    handler = signal.getsignal(signal.SIGALRM)
+    try:
+        code = cli.main(["space", "sol:2", "--timeout-sec", "1"])
+    finally:
+        signal.signal(signal.SIGALRM, handler)
+    assert code == 1
+    assert capsys.readouterr().err == "error: computation exceeded 1s\n"
