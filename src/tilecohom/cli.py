@@ -197,7 +197,7 @@ def main(argv=None) -> int:
         def _on_alarm(signum, frame):
             raise TimeoutError(f"computation exceeded {args.timeout_sec}s")
         try:
-            signal.signal(signal.SIGALRM, _on_alarm)
+            previous = signal.signal(signal.SIGALRM, _on_alarm)
         except (AttributeError, ValueError):
             # no SIGALRM on this platform, or not the main thread
             print("error: --timeout-sec needs SIGALRM, which only the main "
@@ -213,6 +213,7 @@ def main(argv=None) -> int:
     finally:
         if args.timeout_sec:
             signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def run() -> NoReturn:

@@ -149,10 +149,9 @@ class GroupExpr:
 
 
 class TowerGroup:
-    """A stationary direct system: one group and one self-map, and in
-    `limit` its classification once `classify` has made it."""
+    """A stationary direct system: one group and one self-map."""
 
-    __slots__ = ("group", "endo", "limit")
+    __slots__ = ("group", "endo")
 
     def __init__(self, group: FgAbGroup, endo: GroupHom):
         for side in (endo.domain, endo.codomain):
@@ -161,7 +160,6 @@ class TowerGroup:
                 raise ValueError("endo is not a self-map of the tower group")
         self.group = group
         self.endo = endo
-        self.limit = None
 
     def power(self, j: int) -> "TowerGroup":
         """The tower of the j-th power of the endomorphism, j >= 0."""
@@ -310,15 +308,14 @@ def classify(t: TowerGroup) -> GroupExpr:
     splitting.  Only when several distinct radicals interact through the
     finite-index discrepancy is a genuine splitting check required, and a
     failed check yields an unclassified payload rather than a guess.
-    The result is kept in `t.limit` and in `_limits` under the tower's
-    presentation, so that a tower with an equal one is not classified again.
+    The result is kept in `_limits` under the tower's presentation, so that
+    a tower with an equal one is not classified again.
     """
-    if t.limit is None:
-        key = t.group.ngens, t.group.rel, t.endo.matrix
-        t.limit = _limits.get(key)
-        if t.limit is None:
-            t.limit = _limits[key] = _classify(t)
-    return t.limit
+    key = t.group.ngens, t.group.rel, t.endo.matrix
+    limit = _limits.get(key)
+    if limit is None:
+        limit = _limits[key] = _classify(t)
+    return limit
 
 
 def _classify(t: TowerGroup) -> GroupExpr:

@@ -328,15 +328,6 @@ def _collared_system(name: str, r: int):
     return _quotient(decorate(name), r)
 
 
-@functools.lru_cache(maxsize=None)
-def _tile_descends(name: str) -> bool:
-    try:
-        _collared_system(name, 0)
-        return True
-    except NotWellDefined:
-        return False
-
-
 def descend_rule(scheme) -> Substitution2D:
     """Quotient substitution on a scheme's (possibly collared) prototiles.
 
@@ -346,21 +337,14 @@ def descend_rule(scheme) -> Substitution2D:
     prototiles are once-collared classes.  A callable is descended at tile
     level only: if the rule does not descend tile-by-tile it raises
     NotWellDefined with a witness pair, even when it would descend to
-    once-collared tiles (border_forcing_check tells the two apart).  A
-    named scheme's rule is built once, so its legal patches are kept.
+    once-collared tiles (border_forcing_check tells the two apart).
     """
-    return _rule(_quotient(scheme, 0)) if callable(scheme) else _named_rule(scheme)
-
-
-@functools.lru_cache(maxsize=None)
-def _named_rule(name: str) -> Substitution2D:
-    return _rule(_collared_system(name, 0 if _tile_descends(name) else 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _named_border_forcing(name: str, max_power: int):
-    return (_forcing_power(descend_rule(name), max_power)
-            if _tile_descends(name) else None)
+    if callable(scheme):
+        return _rule(_quotient(scheme, 0))
+    try:
+        return _rule(_collared_system(scheme, 0))
+    except NotWellDefined:
+        return _rule(_collared_system(scheme, 1))
 
 
 def _rule(sysd) -> Substitution2D:
@@ -398,22 +382,22 @@ def border_forcing_check(scheme, max_power: int = 4):
     determines the ring of tiles around its supertile, or None.
 
     For a scheme (a name or a coarsening callable) the check runs on the
-    tile-level quotient rule, once per max_power for a name; if the rule
-    only descends to collared prototiles the scheme cannot be built
-    uncollared and the check reports None.
+    tile-level quotient rule; if the rule only descends to collared
+    prototiles the scheme cannot be built uncollared and the check reports
+    None.
     """
     if max_power < 0:
         raise ValueError("max_power must be >= 0")
     if isinstance(scheme, Substitution2D):
         return _forcing_power(scheme, max_power)
-    if not callable(scheme):
-        return _named_border_forcing(scheme, max_power)
     try:
-        sub = descend_rule(scheme)
+        sysd = (_quotient(scheme, 0) if callable(scheme)
+                else _collared_system(scheme, 0))
     except NotWellDefined:
-        _quotient(scheme, 1)  # raises if not even the collared rule descends
+        if callable(scheme):
+            _quotient(scheme, 1)  # raises unless the collared rule descends
         return None
-    return _forcing_power(sub, max_power)
+    return _forcing_power(_rule(sysd), max_power)
 
 
 def _forcing_power(sub, max_power):
@@ -459,7 +443,8 @@ def resolve_collar(collar, names=(), pair=False):
     schemes = () if pair else [i.scheme for i in ids if i.family == "chair"]
     depth = _Depth(any(border_forcing_check(s) is None for s in schemes)
                    if collar == "auto" and schemes else collar != "off")
-    _check_depth(depth, *schemes)
+    if collar != "auto":   # auto chose 0 only if every scheme forces
+        _check_depth(depth, *schemes)
     return ids, depth
 
 

@@ -313,6 +313,14 @@ class TestMisc:
         assert code == 0
         assert out.strip() == "H^0 = Z; H^1 = Z[1/2]"
 
+    def test_timeout_restores_the_alarm_handler(self, capsys):
+        # main used to leave its handler installed, so a caller's own later
+        # SIGALRM raised "computation exceeded 5s"
+        before = signal.getsignal(signal.SIGALRM)
+        code, _, _ = run(capsys, "space", "sol:2", "--timeout-sec", "5")
+        assert code == 0
+        assert signal.getsignal(signal.SIGALRM) is before
+
 
 ROOT = Path(__file__).resolve().parents[1]
 # stdout block-buffered, as on a pipe by default

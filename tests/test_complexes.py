@@ -351,11 +351,10 @@ class TestTowerCache:
         c, sm = self._circle_doubling()
         t = cohomology_tower(c, sm, 1)
         first = classify(t)
-        assert t.limit is first
         assert classify(t) is first
-        fresh = TowerGroup(t.group, t.endo)
-        assert fresh.limit is None
-        assert classify(fresh) == first
+        # one store, keyed by the presentation: an equal tower reads it too
+        assert classify(TowerGroup(t.group, t.endo)) is first
+        assert TowerGroup.__slots__ == ("group", "endo")
 
     def test_clearing_cohomology_cache_drops_towers(self):
         c, sm = self._circle_doubling()

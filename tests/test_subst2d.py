@@ -167,35 +167,27 @@ class TestBorderForcing:
         with pytest.raises(NotBorderForcing):
             collar_depth("X,+", "off")
 
-    @pytest.mark.usefixtures("cold_caches")
-    def test_repeat_check_enumerates_no_patches(self, monkeypatch):
-        # a named scheme's descended rule is built once, so its legal 3x3
-        # patches are enumerated by the first check only
-        border_forcing_check("X,0")
-        calls = []
-        original = subst2d._legal_patches
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_auto_asks_each_scheme_once(self, monkeypatch, name):
+        # auto picks depth 0 only when every scheme forces its border, so
+        # the choice is not checked a second time
+        asked = []
+        original = subst2d.border_forcing_check
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(scheme, *args):
+            asked.append(scheme)
+            return original(scheme, *args)
 
-        monkeypatch.setattr(subst2d, "_legal_patches", counting)
-        assert border_forcing_check("X,0") is None
-        assert descend_rule("X,0") is descend_rule("X,0")
-        assert calls == []
-        # the values are those of the rebuilt rules, and a second round
-        # over all nine schemes enumerates nothing either
-        expected = {s: 1 if s == "0,0" else None for s in SCHEME_NAMES}
-        assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
-        calls.clear()
-        assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
-        assert calls == []
+        monkeypatch.setattr(subst2d, "border_forcing_check", counting)
+        assert collar_depth(name, "auto") == (name != "0,0")
+        assert asked == [name]
 
-    @pytest.mark.usefixtures("cold_caches")
-    def test_repeat_check_inflates_nothing(self, monkeypatch):
-        # a scheme name's answer is kept: after the first check, neither a
-        # second check nor an auto collar choice enumerates legal squares,
-        # the only patches the side-table check reads
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_cold_auto_query_inflates_once(self, cold_caches, monkeypatch,
+                                           name):
+        # the legal 3-squares of the descended rule, which only the forcing
+        # check reads, are enumerated once per query, and not at all for a
+        # scheme whose rule descends only to collared tiles
         calls = []
         original = Substitution2D._squares
 
@@ -204,19 +196,20 @@ class TestBorderForcing:
             return original(self, n)
 
         monkeypatch.setattr(Substitution2D, "_squares", counting)
+        compute_space(f"chair:{name}")
+        assert calls.count(3) == (name not in ("0,+", "0,-"))
+
+    def test_repeat_check_answers_alike(self):
         assert border_forcing_check("X,0") is None
-        assert calls
-        calls.clear()
         assert border_forcing_check("X,0") is None
         assert collar_depth("X,0", "auto") == 1
-        assert calls == []
+        first, again = descend_rule("X,0"), descend_rule("X,0")
+        assert (first.tiles, first.rule) == (again.tiles, again.rule)
         expected = {s: 1 if s == "0,0" else None for s in SCHEME_NAMES}
         assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
-        calls.clear()
         assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
         assert {s: collar_depth(s, "auto") for s in SCHEME_NAMES} == {
             s: 0 if s == "0,0" else 1 for s in SCHEME_NAMES}
-        assert calls == []
 
 
 class TestComplexes:

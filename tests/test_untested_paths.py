@@ -213,9 +213,7 @@ def test_timeout_ends_the_query(capsys, monkeypatch):
         time.sleep(2)
     monkeypatch.setattr(catalog, "compute_space", compute_space)
     handler = signal.getsignal(signal.SIGALRM)
-    try:
-        code = cli.main(["space", "sol:2", "--timeout-sec", "1"])
-    finally:
-        signal.signal(signal.SIGALRM, handler)
+    code = cli.main(["space", "sol:2", "--timeout-sec", "1"])
     assert code == 1
+    assert signal.getsignal(signal.SIGALRM) is handler
     assert capsys.readouterr().err == "error: computation exceeded 1s\n"
