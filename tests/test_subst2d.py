@@ -199,18 +199,40 @@ class TestBorderForcing:
         compute_space(f"chair:{name}")
         assert calls.count(3) == (name not in ("0,+", "0,-"))
 
+    @pytest.mark.usefixtures("cold_caches")
     def test_repeat_check_answers_alike(self):
+        # a repeated check rebuilds the descended rule from the kept
+        # collared classes, and answers as the first one did
         assert border_forcing_check("X,0") is None
         assert border_forcing_check("X,0") is None
-        assert collar_depth("X,0", "auto") == 1
         first, again = descend_rule("X,0"), descend_rule("X,0")
         assert (first.tiles, first.rule) == (again.tiles, again.rule)
         expected = {s: 1 if s == "0,0" else None for s in SCHEME_NAMES}
         assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
         assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
-        assert {s: collar_depth(s, "auto") for s in SCHEME_NAMES} == {
-            s: 0 if s == "0,0" else 1 for s in SCHEME_NAMES}
 
+    @pytest.mark.usefixtures("cold_caches")
+    def test_repeat_auto_choice_answers_alike(self, monkeypatch):
+        # the side-table check reads the legal squares of the descended
+        # rule; a repeated check or auto collar choice answers alike
+        calls = []
+        original = Substitution2D._squares
+
+        def counting(self, n):
+            calls.append(n)
+            return original(self, n)
+
+        monkeypatch.setattr(Substitution2D, "_squares", counting)
+        assert border_forcing_check("X,0") is None
+        assert calls
+        assert border_forcing_check("X,0") is None
+        assert collar_depth("X,0", "auto") == 1
+        expected = {s: 1 if s == "0,0" else None for s in SCHEME_NAMES}
+        assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
+        assert {s: border_forcing_check(s) for s in SCHEME_NAMES} == expected
+        depths = {s: 0 if s == "0,0" else 1 for s in SCHEME_NAMES}
+        assert {s: collar_depth(s, "auto") for s in SCHEME_NAMES} == depths
+        assert {s: collar_depth(s, "auto") for s in SCHEME_NAMES} == depths
 
 class TestComplexes:
     def test_trivial_scheme_is_torus(self):
