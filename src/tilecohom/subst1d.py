@@ -38,7 +38,6 @@ class Substitution1D:
                 raise ValueError(f"image of {a!r} is missing, empty or "
                                  "leaves the alphabet")
         self._windows = {}
-        self._pairs = None  # the legal 2-words, closed once
 
     def apply(self, word):
         return tuple(chain.from_iterable(map(self.rule.__getitem__, word)))
@@ -87,30 +86,24 @@ def solenoid_substitution(m: int) -> Substitution1D:
     return Substitution1D(("s",), {"s": ("s",) * m})
 
 
-def _legal_patches(s, tiles, image_windows, stretch, n):
-    """The set of legal n-patches of the substitution s: n-words in 1-D,
-    n x n squares (flat tuples of tile ids) in 2-D.
+def _legal_patches(tiles, image_windows, stretch, n):
+    """The set of legal n-patches: n-words in 1-D, n x n squares (flat
+    tuples of tile ids) in 2-D.
 
     `tiles` are the one-tile patches (all legal), `image_windows(p, m)`
     the m-patches in the image of p, `stretch` >= 2 the least factor by
     which the substitution lengthens a side.  A legal 2-patch lies in the
-    image of a tile or of a legal 2-patch; that closure runs once per
-    substitution and is kept as `s._pairs`.  A legal m'-patch, m' <= (m-1)
-    * stretch + 1, lies in the image of a legal m-patch (Anderson-Putnam,
-    ETDS 18)."""
+    image of a tile or of a legal 2-patch, a legal m'-patch, m' <= (m-1) *
+    stretch + 1, in that of a legal m-patch (Anderson-Putnam, ETDS 18)."""
     if n < 2:
         return set(tiles)
-    if s._pairs is None:
-        found = set().union(*(image_windows(t, 2) for t in tiles))
-        frontier = found
-        while frontier:
-            frontier = set().union(*(image_windows(p, 2)
-                                     for p in frontier)) - found
-            found |= frontier
-        s._pairs = found
-    if n == 2:
-        return set(s._pairs)
-    found, m = s._pairs, 2
+    found = set().union(*(image_windows(t, 2) for t in tiles))
+    frontier = found
+    while frontier:
+        frontier = set().union(*(image_windows(p, 2)
+                                 for p in frontier)) - found
+        found |= frontier
+    m = 2
     while m < n:
         m = min(n, (m - 1) * stretch + 1)
         found = set().union(*(image_windows(p, m) for p in found))
@@ -141,7 +134,7 @@ def legal_words(s: Substitution1D, n: int) -> set:
                 found.add(img[i:i + m])
         return found
 
-    return _legal_patches(s, [(a,) for a in s.alphabet], image_windows,
+    return _legal_patches([(a,) for a in s.alphabet], image_windows,
                           min(map(len, t.rule.values())), n)
 
 

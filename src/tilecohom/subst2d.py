@@ -148,7 +148,6 @@ class Substitution2D:
         self._kids = tuple(tuple(tid[self.rule[t][q]] for q in QUADS)
                            for t in self.tiles)
         self._gathers = {}
-        self._pairs = None  # the legal 2-squares, closed once
         self._legal_cache = {}
 
     def matrix(self) -> IntMatrix:
@@ -182,7 +181,7 @@ class Substitution2D:
     def _squares(self, n):
         """The legal n x n squares, flat."""
         self.require_primitive()
-        return _legal_patches(self, [(t,) for t in range(len(self.tiles))],
+        return _legal_patches([(t,) for t in range(len(self.tiles))],
                               self._image_windows, 2, n)
 
     def legal(self, w, h):
@@ -404,16 +403,23 @@ def _forcing_power(sub, max_power):
     """Least k <= max_power at which each legal 3-square's centre tile fixes
     the ring around its k-supertile, or None: the facing sides of the edge
     neighbours' k-supertiles and corners of the diagonal ones.  A tile's
-    k-fold S, N, W, E sides join two of its children's (k-1)-fold sides."""
+    k-fold S, N, W, E sides join two of its children's (k-1)-fold sides and
+    are numbered level by level, a side's id standing for the pair of its
+    halves' ids; its k-fold SW, SE, NW, NE corners are those of the child
+    in that corner."""
     squares = sub._squares(3)
-    sides = [((t,),) * 4 for t in range(len(sub.tiles))]
+    sides = corners = [(t,) * 4 for t in range(len(sub.tiles))]
     for k in range(1, max_power + 1):
-        sides = [(sides[sw][0] + sides[se][0], sides[nw][1] + sides[ne][1],
-                  sides[sw][2] + sides[nw][2], sides[se][3] + sides[ne][3])
-                 for nw, ne, sw, se in sub._kids]
+        ids = {}
+        sides = [tuple(ids.setdefault(halves, len(ids)) for halves in (
+            (sides[sw][0], sides[se][0]), (sides[nw][1], sides[ne][1]),
+            (sides[sw][2], sides[nw][2]), (sides[se][3], sides[ne][3])))
+            for nw, ne, sw, se in sub._kids]
+        corners = [(corners[sw][0], corners[se][1], corners[nw][2],
+                    corners[ne][3]) for nw, ne, sw, se in sub._kids]
         rings = {(c, sides[s][1], sides[n][0], sides[w][3], sides[e][2],
-                  sides[sw][1][-1], sides[se][1][0], sides[nw][0][-1],
-                  sides[ne][0][0])
+                  corners[sw][3], corners[se][2], corners[nw][1],
+                  corners[ne][0])
                  for sw, s, se, w, c, e, nw, n, ne in squares}
         if len(rings) == len({ring[0] for ring in rings}):
             return k

@@ -2,10 +2,14 @@
 query sets.
 
 Memos are the package's `functools.lru_cache` functions, read through
-`cache_info()`, and the two content stores, `complexes._complexes` and
+`cache_info()`, the two content stores, `complexes._complexes` and
 `limits._limits`, whose `get` is counted by a dict subclass put in their
-place from outside.  A memo with no hits on any workload is one that no
-workload needs.
+place from outside, and the per-object caches, counted by wrapping from
+outside the one method that reads each: `Substitution1D._windows`
+(`_letter_windows`), `Substitution2D._gathers` (`_image_windows`),
+`Substitution2D._legal_cache` (`legal`) and `IntMatrix._hash`
+(`__hash__`).  A call is a hit if the entry was there before it.  A memo
+with no hits on any workload is one that no workload needs.
 
 The catalog-2d and grid-1d sets of `perfbench/queries.py` (seed 1 by
 default) run in this process through the benchmark worker's `run_query`,
@@ -36,22 +40,39 @@ sys.dont_write_bytecode = True   # leave no cache files beside perfbench/
 import queries  # noqa: E402  (perfbench/queries.py, read only)
 import tilecohom  # noqa: E402
 from tilecohom import catalog, complexes, limits  # noqa: E402
+from tilecohom.abelian import IntMatrix  # noqa: E402
+from tilecohom.subst1d import Substitution1D  # noqa: E402
+from tilecohom.subst2d import Substitution2D  # noqa: E402
 from worker import run_query  # noqa: E402  (perfbench/worker.py)
 
 STORES = ((complexes, "_complexes"), (limits, "_limits"))
 
+# (class, method that reads the cache, cache, whether a call hits it)
+OBJECT_CACHES = (
+    (Substitution1D, "_letter_windows", "_windows",
+     lambda obj, m: m in obj._windows),
+    (Substitution2D, "_image_windows", "_gathers",
+     lambda obj, square, m: (len(square), m) in obj._gathers),
+    (Substitution2D, "legal", "_legal_cache",
+     lambda obj, w, h: (w, h) in obj._legal_cache),
+    (IntMatrix, "__hash__", "_hash", lambda obj: obj._hash is not None),
+)
+object_counts = {}
+
 
 class CountingStore(dict):
-    """A store that counts its lookups by `get`."""
+    """A store that counts its lookups by `get`, hashing each key once as
+    a plain dict does (`IntMatrix._hash` counts the hashes)."""
 
     hits = misses = 0
 
     def get(self, key, default=None):
-        if key in self:
-            self.hits += 1
-        else:
+        value = super().get(key, self)
+        if value is self:
             self.misses += 1
-        return super().get(key, default)
+            return default
+        self.hits += 1
+        return value
 
 
 def lru_caches():
@@ -63,12 +84,28 @@ def lru_caches():
                 yield f"{info.name}.{name}", val
 
 
+def count_calls(cls, method, cache, hit):
+    """Wrap cls.method so that each call counts a hit or a miss of cache."""
+    original = getattr(cls, method)
+    counts = object_counts.setdefault(
+        f"{cls.__module__.rpartition('.')[2]}.{cls.__name__}.{cache}", [0, 0])
+
+    def counting(obj, *args):
+        counts[not hit(obj, *args)] += 1
+        return original(obj, *args)
+
+    setattr(cls, method, counting)
+
+
 def reset():
-    """Empty every memo and put counting stores in place."""
+    """Empty every memo, put counting stores in place and zero the
+    per-object counts."""
     for _, fn in lru_caches():
         fn.cache_clear()
     for mod, name in STORES:
         setattr(mod, name, CountingStore())
+    for counts in object_counts.values():
+        counts[:] = [0, 0]
 
 
 def census():
@@ -79,6 +116,7 @@ def census():
         store = getattr(mod, name)
         out[f"{mod.__name__.rpartition('.')[2]}.{name}"] = [store.hits,
                                                             store.misses]
+    out.update((name, list(counts)) for name, counts in object_counts.items())
     return out
 
 
@@ -124,6 +162,8 @@ def table(columns):
 
 
 def main(argv):
+    for spec in OBJECT_CACHES:
+        count_calls(*spec)
     if argv[1:2] == ["--child"]:
         child(argv[2:])
         return 0

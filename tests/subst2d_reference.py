@@ -12,7 +12,8 @@ the flat squares of tile ids replaced are kept at the end, verbatim too,
 with the row inflation `_inflate` that was `Substitution2D.inflate`,
 followed by the `canonical_realization` that took the minimum over all
 realizations of a path label before it became the first one found, the
-row-patch `_forcing_power` that the side tables replaced, and the
+row-patch `_forcing_power` that the side tables replaced, the side-tuple
+`_tuple_forcing_power` that the numbered sides replaced, and the
 `lattice_steps` chain and the composing `compose_realization` that the
 factor map of any comparable pair replaced.  Test-only code.
 """
@@ -599,6 +600,33 @@ def _forcing_power(sub, max_power):
             if len(rings) > 1:
                 break
         else:
+            return k
+    return None
+
+
+# ---- the side-tuple border-forcing test the numbered sides replaced ----
+#
+# `subst2d._forcing_power` as it stood when each k-fold side was the tuple
+# of its 2^k tiles, so that its memory grew fourfold every two powers:
+# verbatim but for its name.
+
+
+def _tuple_forcing_power(sub, max_power):
+    """Least k <= max_power at which each legal 3-square's centre tile fixes
+    the ring around its k-supertile, or None: the facing sides of the edge
+    neighbours' k-supertiles and corners of the diagonal ones.  A tile's
+    k-fold S, N, W, E sides join two of its children's (k-1)-fold sides."""
+    squares = sub._squares(3)
+    sides = [((t,),) * 4 for t in range(len(sub.tiles))]
+    for k in range(1, max_power + 1):
+        sides = [(sides[sw][0] + sides[se][0], sides[nw][1] + sides[ne][1],
+                  sides[sw][2] + sides[nw][2], sides[se][3] + sides[ne][3])
+                 for nw, ne, sw, se in sub._kids]
+        rings = {(c, sides[s][1], sides[n][0], sides[w][3], sides[e][2],
+                  sides[sw][1][-1], sides[se][1][0], sides[nw][0][-1],
+                  sides[ne][0][0])
+                 for sw, s, se, w, c, e, nw, n, ne in squares}
+        if len(rings) == len({ring[0] for ring in rings}):
             return k
     return None
 

@@ -6,7 +6,8 @@ its windows from `legal(m, m)`, verbatim.  The flat closure must give the
 same master index at r = 0, 1, 2 and the same lists of windows, in the same
 order, at every size `test_master_index.py` uses, for the master rule,
 every descended rule and a rule on plain ints.  The legal 2-patches are
-closed once per substitution, in 1-D and 2-D alike.
+closed afresh on every call, in 1-D and 2-D alike: a substitution keeps no
+closure, so its legal patches do not depend on what was asked before.
 """
 from collections import Counter
 
@@ -81,47 +82,56 @@ def _recording(monkeypatch, cls, name):
     return calls
 
 
-def test_2d_pairs_closed_once_per_substitution(monkeypatch):
+def test_2d_legal_windows_independent_of_call_history(monkeypatch):
     calls = _recording(monkeypatch, Substitution2D, "_image_windows")
     sub = _wielandt()
     sub.legal(3, 3)
     assert any(m == 2 for _, _, m in calls)
-    calls.clear()
     for size in ((2, 1), (1, 2), (4, 4), (5, 5), (3, 4)):
-        sub.legal(*size)
-    assert not any(m == 2 for _, _, m in calls)
+        calls.clear()
+        assert sub.legal(*size) == _wielandt().legal(*size), size
+        assert any(s is sub and m == 2 for s, _, m in calls), size
 
 
 @pytest.mark.usefixtures("cold_caches")
-def test_auto_collar_chair_closes_master_pairs_once(monkeypatch):
+def test_auto_collar_chair_seeds_each_closure_per_index(monkeypatch):
     # the auto choice builds the depth-0 classes and then the depth-1
-    # complex; each substitution seeds its closure from each tile once
+    # complex: the master closure is seeded from each tile for either
+    # index, the descended rule's once from each of its tiles
     calls = _recording(monkeypatch, Substitution2D, "_image_windows")
     ap_complex_2d("X,0", "auto")
     seeded = Counter(id(s) for s, patch, _ in calls if len(patch) == 1)
     subs = {id(s): s for s, _, _ in calls}
-    assert id(master_system()) in seeded
+    master = master_system()
+    assert seeded.pop(id(master)) == 2 * len(master.tiles)
+    assert seeded
     assert all(seeded[i] == len(subs[i].tiles) for i in seeded)
 
 
-def test_1d_pairs_closed_once_per_substitution(monkeypatch):
-    # a fresh substitution, not the cached tm_substitution(3, 2)
-    s = Substitution1D(("1", "1b"), {"1": ("1", "1", "1", "1b", "1b"),
-                                     "1b": ("1b", "1b", "1b", "1", "1")})
+def _tm32():
+    """A fresh substitution, not the cached tm_substitution(3, 2)."""
+    return Substitution1D(("1", "1b"), {"1": ("1", "1", "1", "1b", "1b"),
+                                        "1b": ("1b", "1b", "1b", "1", "1")})
+
+
+def test_1d_legal_words_independent_of_call_history(monkeypatch):
+    s = _tm32()
     calls = []
-    original = Substitution1D._letter_windows
+    original = s._letter_windows
 
-    def counting(self, m):
+    def counting(m):
         calls.append(m)
-        return original(self, m)
+        return original(m)
 
-    monkeypatch.setattr(Substitution1D, "_letter_windows", counting)
+    monkeypatch.setattr(s, "_letter_windows", counting)
     assert legal_words(s, 3) == legal_words(tm_substitution(3, 2), 3)
     assert 2 in calls
     calls.clear()
     assert legal_words(s, 5)
-    assert legal_words(s, 2) == s._pairs
-    assert 2 not in calls
+    assert 2 in calls
+    calls.clear()
+    assert legal_words(s, 2) == legal_words(_tm32(), 2)
+    assert 2 in calls
 
 
 @pytest.mark.usefixtures("cold_caches")
@@ -131,9 +141,9 @@ def test_one_pair_closes_each_rule_once(monkeypatch):
     closures = []
     original = subst1d._legal_patches
 
-    def counting(s, tiles, image_windows, stretch, n):
-        closures.append((s.alphabet, s._pairs is None))
-        return original(s, tiles, image_windows, stretch, n)
+    def counting(tiles, image_windows, stretch, n):
+        closures.append(tuple(a for a, in tiles))
+        return original(tiles, image_windows, stretch, n)
 
     monkeypatch.setattr(subst1d, "_legal_patches", counting)
     compute_space("tm:4,3")
@@ -141,5 +151,11 @@ def test_one_pair_closes_each_rule_once(monkeypatch):
     compute_quotient("tm:4,3", "sol:7")
     compute_quotient("pd:4,3", "sol:7")
     subst1d.verify_times2_ses(4, 3)
-    assert sorted(closures) == [(("1", "1b"), True), (("a", "b"), True),
-                                (("s",), True)]
+    assert sorted(closures) == [("1", "1b"), ("a", "b"), ("s",)]
+
+
+def test_substitutions_keep_no_closure():
+    s, sub = _tm32(), _wielandt()
+    assert legal_words(s, 4) and sub.legal(3, 3)
+    assert not hasattr(s, "_pairs")
+    assert not hasattr(sub, "_pairs")

@@ -7,8 +7,16 @@ side-table check must give the same answer for every max_power 0-5 on the
 nine descended rules, on `decorate(name)` callables, on the master rule
 and on seeded random primitive rules on ints, among which the answers
 None, 1 and 2 all occur.
+
+It also keeps `_tuple_forcing_power`, the side-table check as it stood
+when each k-fold side was the tuple of its 2^k tiles.  The numbered sides
+must agree with it for every max_power 0-12 on the master rule, the nine
+descended rules and the random rules, and a check to power 16 on the
+master rule must stay small in memory, where the side tuples took about
+100 MB.
 """
 import random
+import tracemalloc
 
 import pytest
 
@@ -91,3 +99,33 @@ def test_substitution_argument():
     assert border_forcing_check(late, 2) == 2
     assert border_forcing_check(descend_rule("0,0")) == 1
     assert border_forcing_check(master_system()) is None
+
+
+TUPLE_POWERS = range(13)
+
+
+def _assert_same_as_tuples(sub):
+    for k in TUPLE_POWERS:
+        assert subst2d._forcing_power(sub, k) == \
+            ref._tuple_forcing_power(sub, k), k
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_numbered_sides_match_side_tuples(name):
+    _assert_same_as_tuples(descend_rule(name))
+
+
+def test_numbered_sides_match_side_tuples_on_master_and_random_rules():
+    for sub in [master_system()] + RANDOM_RULES:
+        _assert_same_as_tuples(sub)
+
+
+def test_high_power_check_stays_small():
+    master = master_system()
+    tracemalloc.start()
+    try:
+        assert border_forcing_check(master, 16) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
