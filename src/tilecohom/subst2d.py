@@ -149,6 +149,7 @@ class Substitution2D:
                            for t in self.tiles)
         self._gathers = {}
         self._legal_cache = {}
+        self._indexes = {}
 
     def matrix(self) -> IntMatrix:
         idx = {t: i for i, t in enumerate(self.tiles)}
@@ -199,6 +200,42 @@ class Substitution2D:
                 (_rows(f, w, self.tiles) for f in flat), key=repr)
         return self._legal_cache[key]
 
+    def _index(self, r):
+        """Int-keyed index of the legal windows at collar depth r, made
+        once per depth (kept in `_indexes`) from the legal flat m-squares
+        (m = 2r + 2) alone: their n-square sub-windows (n = 2r + 1) are
+        exactly the legal n x n, and their (n+1) x n, n x (n+1) and m x m
+        sub-windows give every adjacency and corner contact
+        (tests/test_master_index.py checks both facts).  `windows` lists
+        the n x n windows as flat tuples of tile ids, sorted (`legal(n, n)`
+        order for the master rule, whose tiles have reprs of one length);
+        a window's id is its position there, at r = 0 its tile's id.
+        `children[w]` holds the ids of the four windows centred on the
+        children of w's centre tile, in QUADS order; `h`, `v` and `corners`
+        the id pairs (west, east), (south, north) and quadruples (SW, SE,
+        NW, NE) of contacts."""
+        if r in self._indexes:
+            return self._indexes[r]
+        n, m = 2 * r + 1, 2 * r + 2
+        squares = self._squares(m)
+        # the n-square sub-windows at an m-square's SW, SE, NW and NE corners
+        subs = [_getter(_window(m, n, n, x0, y0))
+                for x0, y0 in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        windows = sorted({sub(w) for w in squares for sub in subs})
+        wid = {w: i for i, w in enumerate(windows)}
+        centred = _inflated_getters(n, n,
+                                    [(r + c, r + rr) for c, rr in QUADS])
+        children = [tuple(wid[sub(kids)] for sub in centred)
+                    for kids in map(self._children, windows)]
+        corners = sorted({tuple(wid[sub(w)] for sub in subs) for w in squares})
+        self._indexes[r] = dict(
+            n=n, windows=windows, children=children, corners=corners,
+            h=sorted({p for sw, se, nw, ne in corners
+                      for p in ((sw, se), (nw, ne))}),
+            v=sorted({p for sw, se, nw, ne in corners
+                      for p in ((sw, nw), (se, ne))}))
+        return self._indexes[r]
+
 
 def _window(side, w, h, x0, y0):
     """Flat indices of the w x h window at (x0, y0) of a flat side-square."""
@@ -244,55 +281,16 @@ def _rows(flat, w, tiles):
                  for j in range(0, len(flat), w))
 
 
-@functools.lru_cache(maxsize=None)
-def _master_index(r: int):
-    """Int-keyed index of the legal master windows for collar depth r.
-
-    Built from the legal m-square master windows (m = 2r + 2) alone, the
-    flat squares of the legal-patch closure: their n-square sub-windows
-    (n = 2r + 1) are exactly the legal n x n, and their (n+1) x n,
-    n x (n+1) and m x m sub-windows give every adjacency and corner
-    contact (tests/test_master_index.py checks both facts).  `windows`
-    lists the n x n windows as flat row-major tuples of indices into
-    `master_system().tiles`, sorted, which is `legal(n, n)` (repr) order
-    since all master tiles have reprs of one length; a window's id is its
-    position there.  `children[w]` holds the ids of the four windows
-    centred on the children of w's centre tile, in QUADS order; `h`, `v`
-    and `corners` hold the id pairs (west, east), (south, north) and
-    quadruples (SW, SE, NW, NE) of contacts.
-    """
-    ms = master_system()
-    n, m = 2 * r + 1, 2 * r + 2
-    masters = ms._squares(m)
-    # the n-square sub-windows at a master's SW, SE, NW and NE corners
-    subs = [_getter(_window(m, n, n, x0, y0))
-            for x0, y0 in ((0, 0), (1, 0), (0, 1), (1, 1))]
-    windows = sorted({sub(w) for w in masters for sub in subs})
-    wid = {w: i for i, w in enumerate(windows)}
-    centred = _inflated_getters(n, n, [(r + c, r + rr) for c, rr in QUADS])
-    children = [tuple(wid[sub(kids)] for sub in centred)
-                for kids in map(ms._children, windows)]
-    corners = sorted({tuple(wid[sub(w)] for sub in subs) for w in masters})
-    return dict(
-        n=n, windows=windows, children=children, corners=corners,
-        h=sorted({p for sw, se, nw, ne in corners
-                  for p in ((sw, se), (nw, ne))}),
-        v=sorted({p for sw, se, nw, ne in corners
-                  for p in ((sw, nw), (se, ne))}))
-
-
-def _quotient(q, r):
-    """Collared classes of a decoration quotient at collar depth r.
-
-    Classes are images under q of legal (2r+1)-square master windows, in
-    repr order; `cls` maps each master window id to its class.  The
-    substitution must descend to them (the classes of the four child
-    windows depend only on the class of the parent), otherwise the first
-    offending pair of master windows is reported.
-    """
-    idx = _master_index(r)
+def _quotient(sub, q, r):
+    """Collared classes at collar depth r of a substitution's quotient by
+    a tile coarsening q: the images under q of its legal (2r+1)-square
+    windows, in repr order; `cls` maps each window id of `sub._index(r)`
+    to its class.  The substitution must descend to them (the classes of
+    the four child windows depend only on the class of the parent),
+    otherwise the first offending pair of windows is reported."""
+    idx = sub._index(r)
     n = idx["n"]
-    image = [q(t) for t in master_system().tiles]
+    image = [q(t) for t in sub.tiles]
     code = {}
     tcode = [code.setdefault(x, len(code)) for x in image]
     first = {}
@@ -308,11 +306,10 @@ def _quotient(q, r):
         if smap[cls[w]] is None:
             smap[cls[w]] = blk
         elif smap[cls[w]] != blk:
-            tiles = master_system().tiles
             raise NotWellDefined(
                 f"substitution does not descend to the quotient at "
                 f"collar depth {r}",
-                witness=tuple(_rows(idx["windows"][x], n, tiles)
+                witness=tuple(_rows(idx["windows"][x], n, sub.tiles)
                               for x in (order[cls[w]], w)))
 
     return dict(classes=[keys[i] for i in order], cls=cls, smap=smap,
@@ -322,9 +319,10 @@ def _quotient(q, r):
                                for a, b, c, d in idx["corners"]}), r=r)
 
 
-@functools.lru_cache(maxsize=None)
-def _collared_system(name: str, r: int):
-    return _quotient(decorate(name), r)
+def _collared_system(scheme, r: int):
+    """`_quotient` of the master rule by a scheme name or a coarsening."""
+    return _quotient(master_system(), scheme if callable(scheme)
+                     else decorate(scheme), r)
 
 
 def descend_rule(scheme) -> Substitution2D:
@@ -338,11 +336,11 @@ def descend_rule(scheme) -> Substitution2D:
     NotWellDefined with a witness pair, even when it would descend to
     once-collared tiles (border_forcing_check tells the two apart).
     """
-    if callable(scheme):
-        return _rule(_quotient(scheme, 0))
     try:
         return _rule(_collared_system(scheme, 0))
     except NotWellDefined:
+        if callable(scheme):
+            raise
         return _rule(_collared_system(scheme, 1))
 
 
@@ -359,15 +357,15 @@ def legal_adjacencies(scheme, depth: int = 0):
     """(hpairs, vpairs) of legal horizontally/vertically adjacent pairs.
 
     For a scheme name, pairs of collared classes at the given depth; for a
-    Substitution2D, which has no collars, pairs of its own tiles from
-    supertile enumeration, and a depth other than 0 is a ValueError.
+    Substitution2D, which has no collars, pairs of its own tiles read off
+    its depth-0 window index, and a depth other than 0 is a ValueError.
     """
     if isinstance(scheme, Substitution2D):
         if depth != 0:
             raise ValueError(f"a Substitution2D has only depth 0, got {depth}")
-        hp = {(w[0][0], w[0][1]) for w in scheme.legal(2, 1)}
-        vp = {(w[0][0], w[1][0]) for w in scheme.legal(1, 2)}
-        return sorted(hp, key=repr), sorted(vp, key=repr)
+        idx, t = scheme._index(0), scheme.tiles
+        return tuple(sorted([(t[a], t[b]) for a, b in idx[key]], key=repr)
+                     for key in "hv")
     if depth < 0:
         raise ValueError(f"collar depth must be >= 0, got {depth}")
     sysd = _collared_system(scheme, depth)
@@ -390,11 +388,10 @@ def border_forcing_check(scheme, max_power: int = 4):
     if isinstance(scheme, Substitution2D):
         return _forcing_power(scheme, max_power)
     try:
-        sysd = (_quotient(scheme, 0) if callable(scheme)
-                else _collared_system(scheme, 0))
+        sysd = _collared_system(scheme, 0)
     except NotWellDefined:
         if callable(scheme):
-            _quotient(scheme, 1)  # raises unless the collared rule descends
+            _collared_system(scheme, 1)  # raises unless the rule descends
         return None
     return _forcing_power(_rule(sysd), max_power)
 
@@ -503,11 +500,15 @@ _CORNER_QUAD = tuple(QUADS.index(q) for q in (Q_SW, Q_SE, Q_NW, Q_NE))
 
 @functools.lru_cache(maxsize=None)
 def _ap_complex_2d_depth(name: str, r: int):
-    """(complex, self-map, edges, vertices) at collar depth r; edges and
-    vertices are (roots, index): the root element 4 * class + slot of each
-    cell, and the cell of each element.  A cell's endpoints and images are
-    read off its root alone."""
-    sysd = _collared_system(name, r)
+    """`_complex` of a scheme's collared classes at collar depth r."""
+    return _complex(_collared_system(name, r))
+
+
+def _complex(sysd):
+    """(complex, self-map, edges, vertices, cls) of `_quotient`'s collared
+    classes; edges and vertices are (roots, index): the root element
+    4 * class + slot of each cell, which alone gives its endpoints and
+    images, and the cell of each element.  `cls` is passed through."""
     classes, smap = sysd["classes"], sysd["smap"]
     nc = len(classes)
     hp, vp = sysd["hpairs"], sysd["vpairs"]
@@ -552,7 +553,7 @@ def _ap_complex_2d_depth(name: str, r: int):
         IntMatrix.from_entries(len(verts), len(verts), a0),
         IntMatrix.from_entries(len(edges), len(edges), a1),
         IntMatrix.from_entries(nc, nc, a2)])
-    return cx, self_map, (eroots, eix), (vroots, vix)
+    return cx, self_map, (eroots, eix), (vroots, vix), sysd["cls"]
 
 
 def ap_complex_2d(name: str, collar: str = "auto"):
@@ -612,13 +613,12 @@ def factor_map_edge(fine: str, coarse: str, collar: str = "forced"):
 def _factor_map_depth(fine: str, coarse: str, r: int):
     """The factor map fine -> coarse at collar depth r."""
     _check_depth(r, fine, coarse)
-    fcx, _, (fe, _), (fv, _) = _ap_complex_2d_depth(fine, r)
-    ccx, _, (_, ce), (_, cv) = _ap_complex_2d_depth(coarse, r)
+    fcx, _, (fe, _), (fv, _), fcls = _ap_complex_2d_depth(fine, r)
+    ccx, _, (_, ce), (_, cv), ccls = _ap_complex_2d_depth(coarse, r)
     # the coarse class of each fine class, read off the master windows: the
     # coarse decoration of a tile is a function of the fine one, and legal
     # contacts stay legal, so a fine cell's root goes where its elements go
-    down = dict(zip(_collared_system(fine, r)["cls"],
-                    _collared_system(coarse, r)["cls"]))
+    down = dict(zip(fcls, ccls))
 
     def image(roots, index):
         return {(index[4 * down[x >> 2] + (x & 3)], i): 1

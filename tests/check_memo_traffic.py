@@ -7,9 +7,10 @@ Memos are the package's `functools.lru_cache` functions, read through
 place from outside, and the per-object caches, counted by wrapping from
 outside the one method that reads each: `Substitution1D._windows`
 (`_letter_windows`), `Substitution2D._gathers` (`_image_windows`),
-`Substitution2D._legal_cache` (`legal`) and `IntMatrix._hash`
-(`__hash__`).  A call is a hit if the entry was there before it.  A memo
-with no hits on any workload is one that no workload needs.
+`Substitution2D._indexes` (`_index`), `Substitution2D._legal_cache`
+(`legal`) and `IntMatrix._hash` (`__hash__`).  A call is a hit if the
+entry was there before it.  A memo with no hits on any workload is one
+that no workload needs.
 
 The catalog-2d and grid-1d sets of `perfbench/queries.py` (seed 1 by
 default) run in this process through the benchmark worker's `run_query`,
@@ -53,6 +54,7 @@ OBJECT_CACHES = (
      lambda obj, m: m in obj._windows),
     (Substitution2D, "_image_windows", "_gathers",
      lambda obj, square, m: (len(square), m) in obj._gathers),
+    (Substitution2D, "_index", "_indexes", lambda obj, r: r in obj._indexes),
     (Substitution2D, "legal", "_legal_cache",
      lambda obj, w, h: (w, h) in obj._legal_cache),
     (IntMatrix, "__hash__", "_hash", lambda obj: obj._hash is not None),

@@ -5,12 +5,12 @@ from tilecohom import catalog, complexes, limits, subst1d, subst2d
 
 # every module-level lru_cache of the package but abelian.snf, whose memo is
 # a pure function of one matrix and holds no complex, tower or limit:
-# parsed 1-D names, substitutions, complexes, cellular maps, collared classes,
-# master windows and the golden table
+# parsed 1-D names, substitutions (the master rule with its window indexes),
+# complexes, cellular maps and the golden table
 COMPLEX_AND_MAP_CACHES = (
     (subst1d, ("tm_system", "pd_system", "sol_system", "_space_1d")),
-    (subst2d, ("master_system", "_master_index", "_collared_system",
-               "_ap_complex_2d_depth", "_factor_map_depth")),
+    (subst2d, ("master_system", "_ap_complex_2d_depth",
+               "_factor_map_depth")),
     (catalog, ("golden_table",)))
 
 # the content stores: what is computed on a complex (its reduction,

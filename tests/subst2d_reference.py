@@ -15,7 +15,10 @@ realizations of a path label before it became the first one found, the
 row-patch `_forcing_power` that the side tables replaced, the side-tuple
 `_tuple_forcing_power` that the numbered sides replaced, and the
 `lattice_steps` chain and the composing `compose_realization` that the
-factor map of any comparable pair replaced.  Test-only code.
+factor map of any comparable pair replaced, the element-wise cell maps
+that the root elements replaced, and the cut of a rule's contact pairs
+from its legal dominoes (`cut_adjacencies`) that the depth-0 window index
+replaced.  Test-only code.
 """
 from __future__ import annotations
 
@@ -783,3 +786,20 @@ def element_factor_map_depth(fine: str, coarse: str, r: int):
         IntMatrix.from_entries(ccx.n_cells(k), fcx.n_cells(k),
                                {(j, i): 1 for i, j in m.items()})
         for k, m in enumerate((m0, m1, down))])
+
+
+# ---- the adjacency cut the depth-0 window index replaced ----
+#
+# The `Substitution2D` branch of `subst2d.legal_adjacencies` as it stood
+# when it cut the contact pairs of a rule's own tiles from `legal(2, 1)` and
+# `legal(1, 2)`, verbatim but for the name `cut_adjacencies`.
+
+
+def cut_adjacencies(scheme, depth: int = 0):
+    """(hpairs, vpairs) of legal horizontally/vertically adjacent pairs of
+    a Substitution2D's tiles, from supertile enumeration."""
+    if depth != 0:
+        raise ValueError(f"a Substitution2D has only depth 0, got {depth}")
+    hp = {(w[0][0], w[0][1]) for w in scheme.legal(2, 1)}
+    vp = {(w[0][0], w[1][0]) for w in scheme.legal(1, 2)}
+    return sorted(hp, key=repr), sorted(vp, key=repr)

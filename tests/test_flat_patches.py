@@ -19,8 +19,7 @@ from tilecohom.catalog import compute_quotient, compute_space
 from tilecohom.errors import NotWellDefined
 from tilecohom.subst1d import Substitution1D, legal_words, tm_substitution
 from tilecohom.subst2d import (QUADS, SCHEME_NAMES, Substitution2D,
-                               _master_index, ap_complex_2d, descend_rule,
-                               master_system)
+                               ap_complex_2d, descend_rule, master_system)
 
 SIZES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 3), (4, 3), (3, 4), (4, 4),
          (5, 5), (6, 6)]
@@ -39,7 +38,7 @@ def _wielandt():
 
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_master_index_identical(r):
-    assert _master_index(r) == ref._master_index(r)
+    assert master_system()._index(r) == ref._master_index(r)
 
 
 @pytest.mark.parametrize("size", SIZES)

@@ -14,8 +14,8 @@ import pytest
 import subst2d_reference as ref
 from tilecohom.errors import NotWellDefined
 from tilecohom.subst2d import (SCHEME_NAMES, _ap_complex_2d_depth,
-                               _master_index, border_forcing_check,
-                               descend_rule, factor_map_edge, lattice_edges,
+                               border_forcing_check, descend_rule,
+                               factor_map_edge, lattice_edges,
                                legal_adjacencies, master_system)
 
 DEPTHS = [(name, 1) for name in SCHEME_NAMES] + [
@@ -68,7 +68,7 @@ def test_border_forcing_identical(name):
 def test_index_windows_and_contacts(r):
     ms = master_system()
     n = 2 * r + 1
-    idx = _master_index(r)
+    idx = ms._index(r)
     tiles = ms.tiles
     nested = [tuple(tuple(tiles[t] for t in w[j * n:(j + 1) * n])
                     for j in range(n)) for w in idx["windows"]]
@@ -84,7 +84,7 @@ def test_index_windows_and_contacts(r):
 
 @pytest.mark.parametrize("name,r", DEPTHS)
 def test_complex_identical(name, r):
-    cx, sm, _, _ = _ap_complex_2d_depth(name, r)
+    cx, sm, *_ = _ap_complex_2d_depth(name, r)
     rcx, rsm = ref._ap_complex_2d_depth(name, r)
     assert cx.cells == rcx.cells
     assert cx.delta == rcx.delta
