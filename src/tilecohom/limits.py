@@ -3,8 +3,9 @@
 A tower is a group together with a self-map; its direct limit is classified
 into a canonical expression  torsion + Z[1/m]^a + Z^b  whenever the
 endomorphism splits (after restriction to its eventual image) into primary
-components with integer eigenvalues.  Anything else is returned with an
-honest `unclassified` payload rather than a guessed form.
+components with integer eigenvalues beside a part on which it has
+determinant +-1.  Anything else is returned with an honest `unclassified`
+payload rather than a guessed form.
 """
 from __future__ import annotations
 
@@ -253,8 +254,9 @@ def _charpoly(rows):
 
 
 def _integer_eigenvalues(b_ff: IntMatrix):
-    """(eigenvalue, multiplicity) pairs, or None if the charpoly has an
-    irrational factor."""
+    """(eigs, rest): the (eigenvalue, multiplicity) pairs of the integer
+    roots, and the characteristic polynomial with their linear factors
+    divided out, leading 1 first ([1] when every root is an integer)."""
     rows = b_ff.to_rows()
     poly = _charpoly(rows)
     eigs = []
@@ -289,7 +291,7 @@ def _integer_eigenvalues(b_ff: IntMatrix):
                 mult += 1
             if mult:
                 eigs.append((lam, mult))
-    return eigs if len(poly) == 1 else None
+    return eigs, poly
 
 
 # (ngens, relations, endo matrix) of a tower -> its classification, which
@@ -301,9 +303,12 @@ def classify(t: TowerGroup) -> GroupExpr:
     """Canonical form of the direct limit, or an unclassified payload.
 
     After restriction to the eventual image, the free part is split into
-    primary blocks grouped by the radical of the eigenvalues.  The
-    +-1-eigenvalue quotient is free (the restricted map is unimodular
-    there), hence always splits off; a single localized block is a free
+    primary blocks grouped by the radical of the integer eigenvalues other
+    than +-1.  The rest of the characteristic polynomial (the +-1 roots and
+    any irrational factor) must have constant term +-1, else the limit is
+    unclassified.  The free part modulo the saturated blocks is free, the
+    restricted map has determinant +-1 there, so its limit is free of the
+    rest's degree and always splits off; a single localized block is a free
     module over its localization regardless of the index of the primary
     splitting.  Only when several distinct radicals interact through the
     finite-index discrepancy is a genuine splitting check required, and a
@@ -327,35 +332,27 @@ def _classify(t: TowerGroup) -> GroupExpr:
     f = b_ff.rows
     if f == 0:
         return GroupExpr(torsion_parts=torsion)
-    eigs = _integer_eigenvalues(b_ff)
-    if eigs is None:
+    eigs, rest = _integer_eigenvalues(b_ff)
+    if abs(rest[-1]) != 1:
         return GroupExpr(unclassified=t)
-    # group eigenvalues by radical; radical 1 = the free block
     by_rad = {}
     for lam_val, mult in eigs:
-        by_rad.setdefault(radical(lam_val), []).append((lam_val, mult))
+        if abs(lam_val) != 1:
+            by_rad.setdefault(radical(lam_val), []).append((lam_val, mult))
     blocks = []
-    free_rank = 0
-    for rad in sorted(by_rad):
-        lams = by_rad[rad]
-        dim = sum(mult for _, mult in lams)
+    for rad, lams in sorted(by_rad.items()):
         powm = IntMatrix.identity(f)
         for lam_val, mult in lams:
             shifted = b_ff - IntMatrix.identity(f).scale(lam_val)
             for _ in range(mult):
                 powm = shifted * powm
-        kb = kernel_basis(powm)
-        if kb.cols != dim:
-            return GroupExpr(unclassified=t)
-        if rad == 1:
-            free_rank += dim
-        else:
-            blocks.append((rad, dim, kb))
+        blocks.append((rad, sum(mult for _, mult in lams),
+                       kernel_basis(powm)))
     locs = [(rad, dim) for rad, dim, _ in blocks]
     if len(blocks) >= 2 and not _blocks_split(blocks):
         return GroupExpr(unclassified=t)
     return GroupExpr(torsion_parts=torsion, localization_parts=locs,
-                     free_rank=free_rank)
+                     free_rank=f - sum(dim for _, dim in locs))
 
 
 def _blocks_split(blocks) -> bool:

@@ -1,10 +1,15 @@
 """Differential tests: Berkowitz integer eigenvalues and the trial-division
 radical against the sympy reference they replaced.
 
-Eigenvalues are compared as multisets of (eigenvalue, multiplicity), or
-both None when the characteristic polynomial has an irrational factor.
+`limits._integer_eigenvalues` returns the integer roots and the rest of the
+characteristic polynomial.  The rest is [1] exactly when the reference
+returns None, and where it does not, the eigenvalues are compared as
+multisets of (eigenvalue, multiplicity).  Against sympy's `factor_list`,
+the rest is the product of the non-linear irreducible factors, with their
+multiplicities.
 """
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import limits_reference as ref
@@ -16,11 +21,11 @@ from tilecohom.catalog import (DEFAULT_GRID, PATH_STARTS, PATH_WORDS,
 
 
 def assert_same_eigenvalues(b):
-    got, want = limits._integer_eigenvalues(b), ref._integer_eigenvalues(b)
-    if want is None:
-        assert got is None
-    else:
-        assert got is not None and sorted(got) == sorted(want)
+    got, rest = limits._integer_eigenvalues(b)
+    want = ref._integer_eigenvalues(b)
+    assert (rest != [1]) == (want is None)
+    if want is not None:
+        assert sorted(got) == sorted(want)
 
 
 # ---- every free block that classify sees on the catalog ----
@@ -136,14 +141,35 @@ def test_random_matrices_match_reference(b):
 @given(unimodular_conjugates())
 def test_unimodular_conjugates_match_reference(b):
     assert_same_eigenvalues(b)
-    assert limits._integer_eigenvalues(b) is not None
+    assert limits._integer_eigenvalues(b)[1] == [1]
 
 
 @settings(max_examples=100, deadline=None)
 @given(irrational())
-def test_irrational_charpoly_gives_none(b):
+def test_irrational_charpoly_leaves_a_rest(b):
     assert_same_eigenvalues(b)
-    assert limits._integer_eigenvalues(b) is None
+    assert limits._integer_eigenvalues(b)[1] != [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(plain, unimodular_conjugates(), irrational()))
+def test_rest_matches_factor_list(b):
+    # the rest is the product of sympy's non-linear irreducible factors of
+    # the (monic) characteristic polynomial, the roots are its linear ones
+    x = sympy.symbols("x")
+    _, factors = sympy.factor_list(
+        sympy.Matrix(b.to_rows()).charpoly(x).as_expr(), x)
+    nonlinear = sympy.Integer(1)
+    roots = []
+    for fac, mult in factors:
+        p = sympy.Poly(fac, x)
+        if p.degree() == 1:
+            roots.append((-int(p.nth(0)), int(mult)))
+        else:
+            nonlinear *= fac ** mult
+    eigs, rest = limits._integer_eigenvalues(b)
+    assert rest == [int(c) for c in sympy.Poly(nonlinear, x).all_coeffs()]
+    assert sorted(eigs) == sorted(roots)
 
 
 def test_charpoly_small_cases():

@@ -19,8 +19,10 @@ every prime of its localization bases and torsion orders.
 
 Cases: every tower that `classify` sees on `test_eigen_differential.CASES`
 (the catalog spaces, quotients and path words), the quotient towers of
-`catalog_factor_maps`, the `tm`/`pd` spaces of the 1..40 grid and
-hypothesis towers with torsion.  Unclassified answers are skipped.
+`catalog_factor_maps`, the `tm`/`pd` spaces of the 1..40 grid,
+hypothesis towers with torsion and hypothesis towers with irrational unit
+eigenvalues, which add Z^d, so d at every prime.  Unclassified answers are
+skipped.
 
 What it cannot see, since its conditions are necessary only:
 - the non-split pairs: an unclassified tm:k,l limit has the p-ranks of the
@@ -31,6 +33,7 @@ What it cannot see, since its conditions are necessary only:
   with a, b odd: a subgroup of finite index has the same p-ranks, so the
   gluing reads as Z[1/a] + Z[1/b].
 """
+import math
 from fractions import Fraction
 
 import pytest
@@ -253,6 +256,12 @@ def torsion_towers(draw):
         for j in range(f):
             m[i][j] = draw(st.integers(-3, 3))
         m[i][i] = draw(st.integers(0, d - 1))
+    return mixed(draw, tower(m, ds))
+
+
+def mixed(draw, t):
+    """t in a presentation mixed by a random unimodular P."""
+    n = t.group.ngens
     p = pinv = IntMatrix.identity(n)
     for _ in range(draw(st.integers(0, 6)) if n > 1 else 0):
         i, j = draw(st.permutations(range(n)))[:2]
@@ -262,7 +271,6 @@ def torsion_towers(draw):
         e[i][j], einv[i][j] = c, -c
         p = IntMatrix.from_rows(e) * p
         pinv = pinv * IntMatrix.from_rows(einv)
-    t = tower(m, ds)
     g = FgAbGroup(n, p * t.group.rel)
     return TowerGroup(g, GroupHom(g, g, p * t.endo.matrix * pinv))
 
@@ -271,3 +279,48 @@ def torsion_towers(draw):
 @given(torsion_towers())
 def test_random_towers_with_torsion(t):
     assert_ranks(t, classify(t))
+
+
+# (block, what it adds to the limit): companion matrices of the irrational
+# units x^2 - x - 1, x^2 - 3x + 1 and x^3 - x - 1, +-1 (a Jordan block
+# too), integer eigenvalues and a nilpotent 0 that the limit forgets
+UNIT_BLOCKS = [([[0, 1], [1, 1]], "Z^2"), ([[0, -1], [1, 3]], "Z^2"),
+               ([[0, 0, 1], [1, 0, 1], [0, 1, 0]], "Z^3")]
+OTHER_BLOCKS = UNIT_BLOCKS + [
+    ([[1]], "Z"), ([[-1]], "Z"), ([[1, 1], [0, 1]], "Z^2"),
+    ([[2]], "Z[1/2]"), ([[4]], "Z[1/2]"), ([[-3]], "Z[1/3]"),
+    ([[6]], "Z[1/6]"), ([[2, 1], [0, 2]], "Z[1/2]^2"), ([[0]], "0")]
+
+
+@st.composite
+def unit_towers(draw):
+    """(tower, limit): a block-diagonal endomorphism of one unit companion
+    block and up to three more blocks, optionally beside Z_d under a unit
+    multiplier, mixed by a random unimodular P."""
+    blocks = [draw(st.sampled_from(UNIT_BLOCKS))] + draw(st.lists(
+        st.sampled_from(OTHER_BLOCKS), max_size=3))
+    d = draw(st.sampled_from((None, 2, 3, 4, 5, 6, 9)))
+    if d:
+        unit = draw(st.sampled_from([u for u in range(1, d)
+                                     if math.gcd(u, d) == 1]))
+        blocks.append(([[unit]], f"Z_{d}"))
+    n = sum(len(b) for b, _ in blocks)
+    m = [[0] * n for _ in range(n)]
+    at = 0
+    for b, _ in blocks:
+        for i, row in enumerate(b):
+            m[at + i][at:at + len(b)] = row
+        at += len(b)
+    t = mixed(draw, tower(m, [d] if d else []))
+    return t, GroupExpr.parse(" + ".join(part for _, part in blocks
+                                         if part != "0"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_towers())
+def test_unit_towers(case):
+    # the limit is the sum of the blocks' limits, so Z^d counts d at
+    # every prime
+    t, want = case
+    assert classify(t) == want
+    assert_ranks(t, want)

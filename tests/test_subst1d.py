@@ -247,6 +247,26 @@ class TestAbsolute:
         h = absolute_cohomology_1d(f"sol:{m}")
         assert iso_check(h[1], expected_1d_space(SpaceId.parse(f"sol:{m}"))[1])
 
+    # H^1 of substitutions whose expansion is an irrational unit: Anderson
+    # and Putnam, ETDS 18 (1998); Sadun, Topology of Tiling Spaces (AMS,
+    # 2008)
+    @pytest.mark.parametrize("rule,h1", [
+        pytest.param({"a": "ab", "b": "a"}, "Z^2", id="fibonacci"),
+        pytest.param({"a": "ab", "b": "ac", "c": "a"}, "Z^3",
+                     id="tribonacci"),
+        pytest.param({"a": "aab", "b": "a"}, "Z^2", id="silver-mean"),
+        pytest.param({"a": "aab", "b": "ab"}, "Z^2", id="aab-ab")])
+    def test_unit_irrational_textbook_groups(self, rule, h1):
+        cx, sm = ap_complex_1d(Substitution1D(sorted(rule), rule))
+        assert [str(classify(cohomology_tower(cx, sm, k)))
+                for k in (0, 1)] == ["Z", h1]
+
+    def test_non_unit_irrational_stays_unclassified(self, cold_caches):
+        # x^2 - x - 3: a rank-2 limit that GroupExpr cannot name
+        cx, sm = ap_complex_1d(Substitution1D("ab", {"a": "abbb", "b": "a"}))
+        t = cohomology_tower(cx, sm, 1)
+        assert classify(t).unclassified is t
+
     def test_bad_name(self):
         with pytest.raises(InvalidPath):
             absolute_cohomology_1d("fib:1,1")

@@ -5,8 +5,8 @@ no test executes.  Each case here runs one of them: an input the package
 must refuse with a typed error and a fixed message, or a result path (the
 hash of a group expression, an unclassified degree in the JSON document,
 a failing `verify` row, a failed Lemma 1 hypothesis, Lemma 1 onto a
-point, a limit without integer eigenvalues, the reprs and a timed-out
-query).
+point, a limit with a non-unit irrational eigenvalue, the reprs and a
+timed-out query).
 """
 import json
 import signal
@@ -178,9 +178,10 @@ def test_lemma1_onto_a_point(name, top):
     assert str(got) == top and got == q[-1]
 
 
-def test_no_integer_eigenvalues_is_unclassified():
+def test_non_unit_irrational_limit_is_unclassified():
+    # x^2 - 2: the leftover of the characteristic polynomial is no unit
     z2 = FgAbGroup(2)
-    t = TowerGroup(z2, GroupHom(z2, z2, IntMatrix.from_rows([[1, 1],
+    t = TowerGroup(z2, GroupHom(z2, z2, IntMatrix.from_rows([[0, 2],
                                                              [1, 0]])))
     e = classify(t)
     assert e.unclassified is t
